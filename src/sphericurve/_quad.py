@@ -4,6 +4,8 @@ The error estimate on a panel is |GL15 - GL7|; a panel is accepted when
 that is below the local tolerance and split otherwise.  The batched
 variant drives many panels at once through vectorized integrand calls,
 which is what the longitude walk in reconstruction needs to stay fast.
+Cumulative tables built from these panels are read between their nodes
+by cubic Hermite interpolation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ def _noise_floor(half, y15):
     along = y15.ndim - 1
     spread = np.max(y15, axis=along) - np.min(y15, axis=along)
     return 4e-15 * np.abs(half) * (np.abs(y15) @ _W15) + 2e-12 * spread
+
+
+def hermite(x, h, y0, d0, y1, d1):
+    """Cubic Hermite at local x in [0, 1] of a panel of width h.
+
+    y0, y1 are the values and d0, d1 the slopes at the panel ends.
+    """
+    h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
+    h10 = x * (1.0 - x) ** 2
+    h01 = x * x * (3.0 - 2.0 * x)
+    h11 = x * x * (x - 1.0)
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
 def gauss_adaptive(f, a: float, b: float, tol: float) -> float:

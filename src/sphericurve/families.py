@@ -3,7 +3,9 @@
 Each catalog entry evaluates extended latitude, unwrapped longitude and
 Cartesian points directly from formulas, with no quadrature (the
 catenary longitude is the one exception).  These are the ground truth
-the reconstruction is checked against.
+the reconstruction is checked against.  One registry entry per
+command-line family holds its parameter defaults, its law builder and
+its closed form; family_names, family_law and closed_form all read it.
 
 Longitudes built from arctan of a tangent-linear expression are
 unwrapped analytically: arctan((R + beta*tan(theta))/gamma) jumps by
@@ -23,7 +25,6 @@ import numpy as np
 from ._fd import deriv2
 from ._quad import gauss_batch
 from .laws import (
-    CurvatureLaw,
     MomentumLaw,
     antiderivative,
     catenary_law,
@@ -36,6 +37,7 @@ from .laws import (
     sn_family_law,
     viviani_law,
 )
+from .reconstruct import CurveTrace, _phi_extended
 from .specfun import incomplete_E, jacobi
 
 
@@ -125,19 +127,11 @@ class ClosedFormCurve:
         return self._kappa(self._check(s))
 
     def trace(self, s):
-        from .reconstruct import CurveTrace
-
         phi, lam, xi = self(s)
         return CurveTrace(
             s=np.asarray(s, dtype=float), z=xi[:, 2], phi=phi, lam=lam,
             xi=xi, meta={"closed_form": self.tag, "params": dict(self.params)},
         )
-
-
-def _phi_sheet(sheet, z):
-    sheet = np.asarray(sheet)
-    sgn = 1 - 2 * (sheet % 2)
-    return sheet * np.pi + sgn * np.arcsin(np.clip(z, -1.0, 1.0))
 
 
 def _xi_from(phi, lam):
@@ -159,19 +153,14 @@ def _tan_breaks(theta):
     return k
 
 
-def _need(params: dict, keys, tag: str):
-    unknown = set(params) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown parameters for '{tag}': {sorted(unknown)}")
-
-
 # -- catalog builders -------------------------------------------------------
+# Each takes the registry's full float parameter dict q, whose ranges the
+# family's law builder has already checked; only curve-specific limits
+# (a small circle's k0 and c, a great circle's c) are checked here.
 
 
-def _make_small_circle(params):
-    _need(params, {"k0", "c"}, "small-circle")
-    k0 = float(params.get("k0", 1.0))
-    c = float(params.get("c", 0.0))
+def _make_small_circle(q):
+    k0, c = q["k0"], q["c"]
     if k0 == 0.0:
         raise ValueError("small-circle needs k0 != 0; use great-circle")
     w = math.sqrt(1.0 + k0 * k0)
@@ -211,11 +200,11 @@ def _make_small_circle(params):
             # contacts where sin(ws) = -1; the sheet toggles at each
             f = np.floor((ws + 0.5 * np.pi) / (2.0 * np.pi))
             sheet = -(np.abs(f).astype(int) % 2)
-            phi = _phi_sheet(sheet, z)
+            phi = _phi_extended(sheet, z)
         elif degen_n:
             f = np.floor((ws + 1.5 * np.pi) / (2.0 * np.pi))
             sheet = np.abs(f).astype(int) % 2
-            phi = _phi_sheet(sheet, z)
+            phi = _phi_extended(sheet, z)
         else:
             phi = np.arcsin(z)
         return phi, lam, _xi_from(phi, lam)
@@ -227,9 +216,8 @@ def _make_small_circle(params):
                            -math.inf, math.inf, ev, kap)
 
 
-def _make_great_circle(params):
-    _need(params, {"c"}, "great-circle")
-    c = float(params.get("c", 0.0))
+def _make_great_circle(q):
+    c = q["c"]
     if not abs(c) <= 1.0:
         raise ValueError("great-circle needs |c| <= 1")
     nu = math.sqrt(max(1.0 - c * c, 0.0))
@@ -267,11 +255,8 @@ def _jac_arrays(s, p):
             dn.reshape(shape), am.reshape(shape))
 
 
-def _make_seiffert(params):
-    _need(params, {"p"}, "seiffert")
-    p = float(params.get("p", 0.5))
-    if not 0.0 < p < 1.0:
-        raise ValueError("seiffert needs 0 < p < 1")
+def _make_seiffert(q):
+    p = q["p"]
 
     def ev(s):
         sn, cn, dn, am = _jac_arrays(s, p)
@@ -287,11 +272,8 @@ def _make_seiffert(params):
     return ClosedFormCurve("seiffert", {"p": p}, -math.inf, math.inf, ev, kap)
 
 
-def _make_borderline(params):
-    _need(params, {"a"}, "borderline")
-    a = float(params.get("a", 1.0))
-    if not a > 0.5:
-        raise ValueError("borderline needs a > 1/2")
+def _make_borderline(q):
+    a = q["a"]
     beta = math.sqrt(2.0 * a - 1.0)
     amp = beta / a
     unit = abs(a - 1.0) <= 1e-12
@@ -316,11 +298,8 @@ def _make_borderline(params):
     return ClosedFormCurve("borderline", {"a": a}, -math.inf, math.inf, ev, kap)
 
 
-def _make_loxodrome(params):
-    _need(params, {"a"}, "loxodrome")
-    a = float(params.get("a", math.cos(math.pi / 4.0)))
-    if not 0.0 < a < 1.0:
-        raise ValueError("loxodrome needs 0 < a < 1")
+def _make_loxodrome(q):
+    a = q["a"]
     nu = math.sqrt(1.0 - a * a)
     s_max = 0.5 * np.pi / nu
 
@@ -338,11 +317,8 @@ def _make_loxodrome(params):
     return ClosedFormCurve("loxodrome", {"a": a}, -s_max, s_max, ev, kap)
 
 
-def _make_loxo_one(params):
-    _need(params, {"a"}, "loxo-one")
-    a = float(params.get("a", 0.5))
-    if not 0.0 < a < 1.0:
-        raise ValueError("loxo-one needs 0 < a < 1")
+def _make_loxo_one(q):
+    a = q["a"]
     ca = math.sqrt(1.0 - a)
     sa = math.sqrt(a)
     s_max = sa / ca
@@ -366,11 +342,8 @@ def _make_loxo_one(params):
     return ClosedFormCurve("loxo-one", {"a": a}, -s_max, s_max, ev, kap)
 
 
-def _make_loxo_super(params):
-    _need(params, {"a"}, "loxo-super")
-    a = float(params.get("a", 2.0))
-    if not a > 1.0:
-        raise ValueError("loxo-super needs a > 1")
+def _make_loxo_super(q):
+    a = q["a"]
     beta = math.sqrt(a - 1.0)
     s_edge = -math.log(a) / (2.0 * beta)
 
@@ -391,11 +364,8 @@ def _make_loxo_super(params):
     return ClosedFormCurve("loxo-super", {"a": a}, -math.inf, s_edge, ev, kap)
 
 
-def _make_catenary(params):
-    _need(params, {"a"}, "catenary")
-    a = float(params.get("a", 0.3))
-    if not 0.0 < a < 0.5:
-        raise ValueError("catenary needs 0 < a < 1/2")
+def _make_catenary(q):
+    a = q["a"]
     q = math.sqrt(1.0 - 4.0 * a * a)
 
     def z_of(s):
@@ -424,11 +394,8 @@ def _make_catenary(params):
     return ClosedFormCurve("catenary", {"a": a}, -math.inf, math.inf, ev, kap)
 
 
-def _make_sn_family(params):
-    _need(params, {"p"}, "sn-family")
-    p = float(params.get("p", 0.5))
-    if not 0.0 < p < 1.0:
-        raise ValueError("sn-family needs 0 < p < 1")
+def _make_sn_family(q):
+    p = q["p"]
     pp = math.sqrt((1.0 - p) * (1.0 + p))
     lam0 = (p / (2.0 * pp)) * math.log((1.0 + pp) / (1.0 - pp))
 
@@ -450,9 +417,7 @@ def _make_sn_family(params):
     return ClosedFormCurve("sn-family", {"p": p}, -math.inf, math.inf, ev, kap)
 
 
-def _make_clelia_like(tag, n):
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"{tag} needs n > 0")
+def _make_clelia(tag, n):
     p = 1.0 / math.sqrt(n * n + 1.0)
     A = math.sqrt(n * n + 1.0) / n
 
@@ -482,43 +447,101 @@ def _make_clelia_like(tag, n):
     return ClosedFormCurve(tag, {"n": n}, -math.inf, math.inf, ev, kap)
 
 
-def _make_viviani(params):
-    _need(params, set(), "viviani")
-    return _make_clelia_like("viviani", 1.0)
+# -- the family registry ----------------------------------------------------
 
 
-def _make_clelia(params):
-    _need(params, {"n"}, "clelia")
-    return _make_clelia_like("clelia", float(params.get("n", 1.0)))
+def _seiffert_law(q):
+    p = q["p"]
+    if not 0.0 < p < 1.0:
+        raise ValueError("seiffert needs 0 < p < 1")
+    return antiderivative(linear_elastica_law(p, 0.0), -p)
 
 
-_CATALOG = {
-    "small-circle": _make_small_circle,
-    "great-circle": _make_great_circle,
-    "seiffert": _make_seiffert,
-    "borderline": _make_borderline,
-    "loxodrome": _make_loxodrome,
-    "loxo-one": _make_loxo_one,
-    "loxo-super": _make_loxo_super,
-    "catenary": _make_catenary,
-    "sn-family": _make_sn_family,
-    "viviani": _make_viviani,
-    "clelia": _make_clelia,
+def _borderline_law(q):
+    a = q["a"]
+    if not a > 0.5:
+        raise ValueError("borderline needs a > 1/2")
+    return antiderivative(linear_elastica_law(a, 0.0), -1.0)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One command-line family name.
+
+    defaults  every parameter the family takes, with its default; the
+              momentum offset c is free exactly where it is one of them
+    law       full parameter dict -> MomentumLaw; checks the ranges
+    curve     full parameter dict -> ClosedFormCurve, or None
+    """
+
+    defaults: dict
+    law: Callable
+    curve: Optional[Callable] = None
+
+    def resolve(self, name: str, params: dict) -> dict:
+        unknown = set(params) - set(self.defaults)
+        if unknown:
+            raise ValueError(
+                f"unknown parameters for '{name}': {sorted(unknown)}"
+            )
+        return {k: float(v) for k, v in {**self.defaults, **params}.items()}
+
+
+_FAMILIES = {
+    "constant": _Family(
+        {"k0": 1.0, "c": 0.0},
+        lambda q: antiderivative(constant_law(q["k0"]), q["c"])),
+    "small-circle": _Family(
+        {"k0": 1.0, "c": 0.0},
+        lambda q: antiderivative(constant_law(q["k0"]), q["c"]),
+        _make_small_circle),
+    "great-circle": _Family(
+        {"c": 0.0},
+        lambda q: antiderivative(constant_law(0.0), q["c"]),
+        _make_great_circle),
+    "elastica": _Family(
+        {"a": 1.0, "b": 0.0, "c": 0.0},
+        lambda q: antiderivative(linear_elastica_law(q["a"], q["b"]), q["c"])),
+    "seiffert": _Family({"p": 0.5}, _seiffert_law, _make_seiffert),
+    "borderline": _Family({"a": 1.0}, _borderline_law, _make_borderline),
+    "loxodrome": _Family(
+        {"a": math.cos(math.pi / 4.0)},
+        lambda q: antiderivative(loxodrome_law(q["a"])), _make_loxodrome),
+    "loxo-one": _Family(
+        {"a": 0.5}, lambda q: antiderivative(loxo_one_law(q["a"])),
+        _make_loxo_one),
+    "loxo-super": _Family(
+        {"a": 2.0}, lambda q: antiderivative(loxo_super_law(q["a"])),
+        _make_loxo_super),
+    "catenary": _Family(
+        {"a": 0.3}, lambda q: antiderivative(catenary_law(q["a"])),
+        _make_catenary),
+    "sn-family": _Family(
+        {"p": 0.5}, lambda q: antiderivative(sn_family_law(q["p"])),
+        _make_sn_family),
+    "viviani": _Family(
+        {}, lambda q: antiderivative(viviani_law()),
+        lambda q: _make_clelia("viviani", 1.0)),
+    "clelia": _Family(
+        {"n": 1.0}, lambda q: antiderivative(clelia_law(q["n"])),
+        lambda q: _make_clelia("clelia", q["n"])),
 }
 
 
 def closed_form(tag: str, params: Optional[dict] = None) -> ClosedFormCurve:
     """Look up an analytic curve by family name."""
-    if tag not in _CATALOG:
-        raise ValueError(
-            f"no closed form for '{tag}'; known: {sorted(_CATALOG)}"
-        )
-    return _CATALOG[tag](dict(params or {}))
+    fam = _FAMILIES.get(tag)
+    if fam is None or fam.curve is None:
+        known = sorted(n for n, f in _FAMILIES.items() if f.curve is not None)
+        raise ValueError(f"no closed form for '{tag}'; known: {known}")
+    q = fam.resolve(tag, dict(params or {}))
+    fam.law(q)  # the law builder owns the parameter range checks
+    return fam.curve(q)
 
 
 def family_names() -> list:
     """Every family the command line accepts, closed-form or law-only."""
-    return sorted(set(_CATALOG) | {"constant", "elastica"})
+    return sorted(_FAMILIES)
 
 
 def family_law(name: str, params: Optional[dict] = None,
@@ -528,70 +551,13 @@ def family_law(name: str, params: Optional[dict] = None,
     Families with a baked-in momentum constant reject an explicit c;
     constant, small-circle, great-circle and elastica accept one.
     """
+    fam = _FAMILIES.get(name)
+    if fam is None:
+        raise ValueError(f"unknown family '{name}'; known: {family_names()}")
     params = dict(params or {})
-
-    def free_c(default=0.0):
-        return float(c) if c is not None else default
-
-    def no_c():
-        if c is not None and c != 0.0:
-            raise ValueError(f"family '{name}' has a fixed momentum constant")
-
-    if name in ("constant", "small-circle"):
-        _need(params, {"k0", "c"}, name)
-        k0 = float(params.get("k0", 1.0))
-        cc = float(params["c"]) if "c" in params else free_c()
-        return antiderivative(constant_law(k0), cc)
-    if name == "great-circle":
-        _need(params, {"c"}, name)
-        cc = float(params["c"]) if "c" in params else free_c()
-        return antiderivative(constant_law(0.0), cc)
-    if name == "elastica":
-        _need(params, {"a", "b", "c"}, name)
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 0.0))
-        cc = float(params["c"]) if "c" in params else free_c()
-        return antiderivative(linear_elastica_law(a, b), cc)
-    if name == "seiffert":
-        _need(params, {"p"}, name)
-        no_c()
-        p = float(params.get("p", 0.5))
-        if not 0.0 < p < 1.0:
-            raise ValueError("seiffert needs 0 < p < 1")
-        return antiderivative(linear_elastica_law(p, 0.0), -p)
-    if name == "borderline":
-        _need(params, {"a"}, name)
-        no_c()
-        a = float(params.get("a", 1.0))
-        if not a > 0.5:
-            raise ValueError("borderline needs a > 1/2")
-        return antiderivative(linear_elastica_law(a, 0.0), -1.0)
-    if name == "loxodrome":
-        _need(params, {"a"}, name)
-        no_c()
-        return antiderivative(loxodrome_law(float(params.get("a", 0.7))))
-    if name == "loxo-one":
-        _need(params, {"a"}, name)
-        no_c()
-        return antiderivative(loxo_one_law(float(params.get("a", 0.5))))
-    if name == "loxo-super":
-        _need(params, {"a"}, name)
-        no_c()
-        return antiderivative(loxo_super_law(float(params.get("a", 2.0))))
-    if name == "catenary":
-        _need(params, {"a"}, name)
-        no_c()
-        return antiderivative(catenary_law(float(params.get("a", 0.3))))
-    if name == "sn-family":
-        _need(params, {"p"}, name)
-        no_c()
-        return antiderivative(sn_family_law(float(params.get("p", 0.5))))
-    if name == "viviani":
-        _need(params, set(), name)
-        no_c()
-        return antiderivative(viviani_law())
-    if name == "clelia":
-        _need(params, {"n"}, name)
-        no_c()
-        return antiderivative(clelia_law(float(params.get("n", 1.0))))
-    raise ValueError(f"unknown family '{name}'; known: {family_names()}")
+    if c is not None and "c" in fam.defaults:
+        params.setdefault("c", c)
+    q = fam.resolve(name, params)
+    if c is not None and c != 0.0 and "c" not in fam.defaults:
+        raise ValueError(f"family '{name}' has a fixed momentum constant")
+    return fam.law(q)

@@ -11,6 +11,8 @@ asymptotic height where the zero is double.
 Phi-form helpers (momentum_phi, curvature_phi, lambda_rate_phi) evaluate
 the same quantities as functions of the extended latitude, which stays
 single-valued when a curve passes through a pole onto the far sheet.
+Each family is one CurvatureLaw subclass stating K and kappa once in
+(sin phi, cos phi); MomentumLaw derives every other form from them.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from ._fd import check_uniform, deriv1
-from ._quad import _W7, _X7, gauss_adaptive
+from ._quad import _W7, _X7, gauss_adaptive, hermite
 
 TURNING_POINT = "turning-point"
 POLE_PASSAGE = "pole-passage"
@@ -34,10 +35,25 @@ _POLE_MOMENTUM_TOL = 1e-10
 # relative slack when matching polynomial momentum roots at u = +-1
 _CONTACT_COEF_TOL = 1e-12
 
-_BAKED_C_KINDS = frozenset(
-    {"loxodrome", "loxo-one", "loxo-super", "catenary", "sn-family",
-     "viviani", "clelia"}
-)
+
+def _at_z(z, fn, *c):
+    """fn(u, w, *c) at heights z, with u = z and w = sqrt(1 - z^2)."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = fn(z, (1.0 - z * z) ** 0.5, *c)
+    if np.ndim(z) == 0:
+        return float(out)
+    return out
+
+
+def _at_phi(phi, fn, *c):
+    """fn(u, w, *c) at extended latitudes phi, with (u, w) = (sin, cos)."""
+    phi = np.asarray(phi, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = fn(np.sin(phi), np.cos(phi), *c)
+    if np.ndim(phi) == 0:
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,12 @@ class CurvatureLaw:
     params      family parameters by name
     domain      open z-interval on which kappa is finite
     singular_z  interior heights where kappa blows up (splits scanning)
+
+    Each family is a subclass that states its momentum K and curvature
+    kappa once, as functions of (u, w) = (sin phi, cos phi) of the
+    extended latitude; w keeps its sign on the far sheet after a pole
+    passage, and the z-forms take w = +sqrt(1 - z^2).  Square roots are
+    written ** 0.5 so one formula serves numpy arrays and plain floats.
     """
 
     kind: str
@@ -56,106 +78,251 @@ class CurvatureLaw:
     singular_z: tuple = ()
     kappa_fn: Optional[Callable] = field(default=None, repr=False)
 
+    # True where the closed form pins the momentum offset c to 0
+    baked_c = False
+
+    def _K(self, u, w, c):
+        """Momentum with offset c."""
+        raise NotImplementedError
+
+    def _kap(self, u, w):
+        raise NotImplementedError
+
+    def _KdK(self, u, w, c):
+        """K kappa; a family whose product cancels states it directly."""
+        return self._K(u, w, c) * self._kap(u, w)
+
+    def _rate(self, u, w, c):
+        """Longitude rate -K / w^2."""
+        return -self._K(u, w, c) / (w * w)
+
     def kappa(self, z):
         """Evaluate kappa at z (array-valued); NaN outside the domain."""
-        z = np.asarray(z, dtype=float)
-        p = self.params
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.kind == "constant":
-                out = np.full_like(z, p["k0"])
-            elif self.kind == "linear-elastica":
-                out = 2.0 * p["a"] * z + p["b"]
-            elif self.kind == "loxodrome":
-                out = p["a"] * z / np.sqrt(1.0 - z * z)
-            elif self.kind == "loxo-one":
-                out = z / np.sqrt(p["a"] - z * z)
-            elif self.kind == "loxo-super":
-                out = p["a"] * z / np.sqrt(1.0 - p["a"] * z * z)
-            elif self.kind == "catenary":
-                out = p["a"] / (z * z)
-            elif self.kind == "sn-family":
-                out = p["p"] * (1.0 - 2.0 * z * z) / np.sqrt(1.0 - z * z)
-            elif self.kind in ("viviani", "clelia"):
-                n2 = p["n"] * p["n"]
-                g = n2 + 1.0 - z * z
-                out = z * (2.0 * n2 + 1.0 - z * z) / (g * np.sqrt(g))
-            elif self.kind == "custom":
-                out = np.asarray(self.kappa_fn(z), dtype=float)
-            else:
-                raise ValueError(f"unknown law kind {self.kind!r}")
-            lo, hi = self.domain
-            out = np.where((z < lo) | (z > hi), np.nan, out)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        lo, hi = self.domain
+        return _at_z(z, lambda z, w: np.where((z < lo) | (z > hi), np.nan,
+                                              self._kap(z, w)))
 
     def scalar_kappa(self):
         """A plain-float evaluator, cheap enough for inner ODE loops."""
-        p = dict(self.params)
         lo, hi = self.domain
-        kind = self.kind
+        kap = self._kap
 
-        if kind == "constant":
-            k0 = p["k0"]
-
-            def f(z):
-                return k0 if lo <= z <= hi else math.nan
-        elif kind == "linear-elastica":
-            a, b = p["a"], p["b"]
-
-            def f(z):
-                return 2.0 * a * z + b if lo <= z <= hi else math.nan
-        elif kind == "loxodrome":
-            a = p["a"]
-
-            def f(z):
-                if not lo < z < hi:
-                    return math.nan
-                return a * z / math.sqrt(1.0 - z * z)
-        elif kind == "loxo-one":
-            a = p["a"]
-
-            def f(z):
-                if not lo < z < hi:
-                    return math.nan
-                return z / math.sqrt(a - z * z)
-        elif kind == "loxo-super":
-            a = p["a"]
-
-            def f(z):
-                if not lo < z < hi:
-                    return math.nan
-                return a * z / math.sqrt(1.0 - a * z * z)
-        elif kind == "catenary":
-            a = p["a"]
-
-            def f(z):
-                if z == 0.0 or not lo <= z <= hi:
-                    return math.nan
-                return a / (z * z)
-        elif kind == "sn-family":
-            pp = p["p"]
-
-            def f(z):
-                if not lo < z < hi:
-                    return math.nan
-                return pp * (1.0 - 2.0 * z * z) / math.sqrt(1.0 - z * z)
-        elif kind in ("viviani", "clelia"):
-            n2 = p["n"] * p["n"]
-
-            def f(z):
-                if not lo <= z <= hi:
-                    return math.nan
-                g = n2 + 1.0 - z * z
-                return z * (2.0 * n2 + 1.0 - z * z) / (g * math.sqrt(g))
-        else:
-            fn = self.kappa_fn
-
-            def f(z):
-                if not lo <= z <= hi:
-                    return math.nan
-                return float(fn(z))
+        def f(z):
+            if not lo <= z <= hi:
+                return math.nan
+            try:
+                return float(kap(z, (1.0 - z * z) ** 0.5))
+            except (ZeroDivisionError, TypeError):
+                # plain floats raise at a pole and turn complex past a
+                # rounded domain edge; numpy gives the IEEE inf or NaN
+                return self.kappa(z)
         return f
+
+
+def _horner(coefs, u):
+    """Polynomial with descending coefficients at u, shaped like u."""
+    out = coefs[0] + 0.0 * u
+    for a in coefs[1:]:
+        out = out * u + a
+    return out
+
+
+def _syndiv(coefs, root):
+    """Divide a descending-coefficient polynomial by (u - root), drop remainder."""
+    out = [coefs[0]]
+    for c in coefs[1:-1]:
+        out.append(c + root * out[-1])
+    return out
+
+
+def _contact_reduced(coefs):
+    """Numerator with the factors (u -+ 1) of touched poles divided out."""
+    tol = _CONTACT_COEF_TOL * (1.0 + sum(abs(x) for x in coefs))
+    north = abs(_horner(coefs, 1.0)) <= tol
+    if north:
+        coefs = _syndiv(coefs, 1.0)
+    south = abs(_horner(coefs, -1.0)) <= tol
+    if south and len(coefs) > 1:
+        coefs = _syndiv(coefs, -1.0)
+    elif south:
+        # a constant left after the north division vanishes at both poles
+        coefs = [0.0]
+    return coefs, north, south
+
+
+class _PolynomialLaw(CurvatureLaw):
+    """Momentum polynomial in u with the free offset c as constant term."""
+
+    def _coefs(self, c):
+        raise NotImplementedError
+
+    def _K(self, u, w, c):
+        return _horner(self._coefs(c), u)
+
+    def _rate(self, u, w, c):
+        # where the momentum vanishes at a touched pole, the matching
+        # factor of w^2 = (1 - u)(1 + u) cancels exactly
+        coefs, north, south = _contact_reduced(self._coefs(c))
+        q = _horner(coefs, u)
+        if north and south:
+            return q
+        if north:
+            return q / (1.0 + u)
+        if south:
+            return -q / (1.0 - u)
+        return -q / (w * w)
+
+
+class _ConstantLaw(_PolynomialLaw):
+    def _coefs(self, c):
+        return (self.params["k0"], c)
+
+    def _kap(self, u, w):
+        return self.params["k0"] + 0.0 * u
+
+
+class _ElasticaLaw(_PolynomialLaw):
+    def _coefs(self, c):
+        return (self.params["a"], self.params["b"], c)
+
+    def _kap(self, u, w):
+        return 2.0 * self.params["a"] * u + self.params["b"]
+
+
+class _LoxodromeLaw(CurvatureLaw):
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return -self.params["a"] * w
+
+    def _kap(self, u, w):
+        return self.params["a"] * u / w
+
+    def _KdK(self, u, w, c):
+        return -self.params["a"] ** 2 * u
+
+    def _rate(self, u, w, c):
+        return self.params["a"] / w
+
+
+class _LoxoOneLaw(CurvatureLaw):
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return -(self.params["a"] - u * u) ** 0.5
+
+    def _kap(self, u, w):
+        return u / (self.params["a"] - u * u) ** 0.5
+
+    def _KdK(self, u, w, c):
+        return -u
+
+
+class _LoxoSuperLaw(CurvatureLaw):
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return -(1.0 - self.params["a"] * u * u) ** 0.5
+
+    def _kap(self, u, w):
+        return self.params["a"] * u / (1.0 - self.params["a"] * u * u) ** 0.5
+
+    def _KdK(self, u, w, c):
+        return -self.params["a"] * u
+
+
+class _CatenaryLaw(CurvatureLaw):
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return -self.params["a"] / u
+
+    def _kap(self, u, w):
+        return self.params["a"] / (u * u)
+
+    def _KdK(self, u, w, c):
+        return -self.params["a"] ** 2 / u**3
+
+
+class _SnFamilyLaw(CurvatureLaw):
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return self.params["p"] * u * w
+
+    def _kap(self, u, w):
+        return self.params["p"] * (1.0 - 2.0 * u * u) / w
+
+    def _KdK(self, u, w, c):
+        return self.params["p"] ** 2 * u * (1.0 - 2.0 * u * u)
+
+    def _rate(self, u, w, c):
+        return -self.params["p"] * u / w
+
+
+class _CleliaLaw(CurvatureLaw):
+    """Viviani (n = 1) and the other Clelias, phi = n lambda."""
+
+    baked_c = True
+
+    def _K(self, u, w, c):
+        return -w * w / (self.params["n"] ** 2 + w * w) ** 0.5
+
+    def _kap(self, u, w):
+        n2 = self.params["n"] ** 2
+        g = n2 + w * w
+        return u * (2.0 * n2 + w * w) / (g * g ** 0.5)
+
+    def _rate(self, u, w, c):
+        return 1.0 / (self.params["n"] ** 2 + w * w) ** 0.5
+
+
+@dataclass(frozen=True)
+class _CustomLaw(CurvatureLaw):
+    """A user kappa; K interpolates its cumulative integral from z = 0."""
+
+    _N = 4097
+
+    def __post_init__(self):
+        lo, hi = self.domain
+        nodes = np.linspace(lo, hi, self._N)
+        kv = np.asarray(self.kappa(nodes), dtype=float)
+        bad = ~np.isfinite(kv)
+        if bad.any():
+            span = hi - lo
+            nodes = nodes.copy()
+            nodes[0] = nodes[0] + 1e-9 * span if bad[0] else nodes[0]
+            nodes[-1] = nodes[-1] - 1e-9 * span if bad[-1] else nodes[-1]
+            kv = np.asarray(self.kappa(nodes), dtype=float)
+            if not np.isfinite(kv).all():
+                raise ValueError(
+                    "custom law must be finite on the interior of its domain"
+                )
+        # integrate node to node with 7-point panels, then re-anchor at z = 0
+        h = np.diff(nodes)
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        pts = mid[:, None] + 0.5 * h[:, None] * _X7[None, :]
+        pv = np.asarray(self.kappa(pts.ravel()), dtype=float).reshape(pts.shape)
+        panels = 0.5 * h * (pv @ _W7)
+        vals = np.empty_like(nodes)
+        vals[0] = 0.0
+        vals[1:] = np.cumsum(panels)
+        object.__setattr__(self, "_table", (nodes, vals, kv))
+        anchor = float(self._K(min(max(0.0, lo), hi), None, 0.0))
+        object.__setattr__(self, "_table", (nodes, vals - anchor, kv))
+
+    def _K(self, u, w, c):
+        nodes, vals, kv = self._table
+        z = np.atleast_1d(np.asarray(u, dtype=float))
+        i = np.clip(np.searchsorted(nodes, z) - 1, 0, nodes.size - 2)
+        h = nodes[i + 1] - nodes[i]
+        t = np.clip((z - nodes[i]) / h, 0.0, 1.0)
+        out = hermite(t, h, vals[i], kv[i], vals[i + 1], kv[i + 1])
+        out = np.where((z < nodes[0]) | (z > nodes[-1]), np.nan, out)
+        return (out if out.size > 1 else out.reshape(())) + c
+
+    def _kap(self, u, w):
+        return self.kappa_fn(u)
 
 
 def _finite(name, value):
@@ -167,7 +334,7 @@ def _finite(name, value):
 
 def constant_law(k0: float) -> CurvatureLaw:
     """kappa(z) = k0.  Circles: small circles for k0 != 0, great for k0 = 0."""
-    return CurvatureLaw("constant", {"k0": _finite("k0", k0)})
+    return _ConstantLaw("constant", {"k0": _finite("k0", k0)})
 
 
 def linear_elastica_law(a: float, b: float = 0.0) -> CurvatureLaw:
@@ -175,7 +342,7 @@ def linear_elastica_law(a: float, b: float = 0.0) -> CurvatureLaw:
     a = _finite("a", a)
     if a == 0.0:
         raise ValueError("linear elastica needs a != 0; use constant_law")
-    return CurvatureLaw("linear-elastica", {"a": a, "b": _finite("b", b)})
+    return _ElasticaLaw("linear-elastica", {"a": a, "b": _finite("b", b)})
 
 
 def loxodrome_law(a: float) -> CurvatureLaw:
@@ -183,7 +350,7 @@ def loxodrome_law(a: float) -> CurvatureLaw:
     a = _finite("a", a)
     if not 0.0 < a < 1.0:
         raise ValueError("loxodrome parameter must satisfy 0 < a < 1")
-    return CurvatureLaw("loxodrome", {"a": a})
+    return _LoxodromeLaw("loxodrome", {"a": a})
 
 
 def loxo_one_law(a: float) -> CurvatureLaw:
@@ -192,7 +359,7 @@ def loxo_one_law(a: float) -> CurvatureLaw:
     if not 0.0 < a < 1.0:
         raise ValueError("loxo-one parameter must satisfy 0 < a < 1")
     r = math.sqrt(a)
-    return CurvatureLaw("loxo-one", {"a": a}, domain=(-r, r))
+    return _LoxoOneLaw("loxo-one", {"a": a}, domain=(-r, r))
 
 
 def loxo_super_law(a: float) -> CurvatureLaw:
@@ -201,7 +368,7 @@ def loxo_super_law(a: float) -> CurvatureLaw:
     if not a > 1.0:
         raise ValueError("loxo-super parameter must satisfy a > 1")
     r = 1.0 / math.sqrt(a)
-    return CurvatureLaw("loxo-super", {"a": a}, domain=(-r, r))
+    return _LoxoSuperLaw("loxo-super", {"a": a}, domain=(-r, r))
 
 
 def catenary_law(a: float) -> CurvatureLaw:
@@ -209,7 +376,7 @@ def catenary_law(a: float) -> CurvatureLaw:
     a = _finite("a", a)
     if not 0.0 < a < 0.5:
         raise ValueError("catenary parameter must satisfy 0 < a < 1/2")
-    return CurvatureLaw("catenary", {"a": a}, singular_z=(0.0,))
+    return _CatenaryLaw("catenary", {"a": a}, singular_z=(0.0,))
 
 
 def sn_family_law(p: float) -> CurvatureLaw:
@@ -217,12 +384,12 @@ def sn_family_law(p: float) -> CurvatureLaw:
     p = _finite("p", p)
     if not 0.0 < p < 1.0:
         raise ValueError("sn-family parameter must satisfy 0 < p < 1")
-    return CurvatureLaw("sn-family", {"p": p})
+    return _SnFamilyLaw("sn-family", {"p": p})
 
 
 def viviani_law() -> CurvatureLaw:
     """kappa(z) = z (3 - z^2) / (2 - z^2)^(3/2), the phi = lambda curve."""
-    return CurvatureLaw("viviani", {"n": 1.0})
+    return _CleliaLaw("viviani", {"n": 1.0})
 
 
 def clelia_law(n: float) -> CurvatureLaw:
@@ -230,7 +397,7 @@ def clelia_law(n: float) -> CurvatureLaw:
     n = _finite("n", n)
     if not n > 0.0:
         raise ValueError("clelia parameter must satisfy n > 0")
-    return CurvatureLaw("clelia", {"n": n})
+    return _CleliaLaw("clelia", {"n": n})
 
 
 def custom_law(kappa, domain=(-1.0, 1.0), singular_z=()) -> CurvatureLaw:
@@ -244,18 +411,10 @@ def custom_law(kappa, domain=(-1.0, 1.0), singular_z=()) -> CurvatureLaw:
         fn = kappa
     except Exception:
         fn = np.vectorize(kappa, otypes=[float])
-    return CurvatureLaw(
+    return _CustomLaw(
         "custom", {}, domain=(lo, hi),
         singular_z=tuple(sorted(float(x) for x in singular_z)), kappa_fn=fn,
     )
-
-
-def _syndiv(coefs, root):
-    """Divide a descending-coefficient polynomial by (u - root), drop remainder."""
-    out = [coefs[0]]
-    for c in coefs[1:-1]:
-        out.append(c + root * out[-1])
-    return out
 
 
 class MomentumLaw:
@@ -268,69 +427,24 @@ class MomentumLaw:
 
     def __init__(self, law: CurvatureLaw, c: float = 0.0):
         c = _finite("c", c)
-        if law.kind in _BAKED_C_KINDS and c != 0.0:
+        if law.baked_c and c != 0.0:
             raise ValueError(
                 f"{law.kind} has its momentum offset baked in; c must be 0"
             )
         self.law = law
         self.c = c
-        self._custom_table = None
-        if law.kind == "custom":
-            self._custom_table = _CustomCumulative(law)
-        self._rate_poly = self._prepare_rate_poly()
 
     # -- z-form -----------------------------------------------------------
 
     def value(self, z):
         """K(z)."""
-        z = np.asarray(z, dtype=float)
-        p = self.law.params
-        with np.errstate(invalid="ignore", divide="ignore"):
-            k = self.law.kind
-            if k == "constant":
-                out = p["k0"] * z + self.c
-            elif k == "linear-elastica":
-                out = (p["a"] * z + p["b"]) * z + self.c
-            elif k == "loxodrome":
-                out = -p["a"] * np.sqrt(1.0 - z * z)
-            elif k == "loxo-one":
-                out = -np.sqrt(p["a"] - z * z)
-            elif k == "loxo-super":
-                out = -np.sqrt(1.0 - p["a"] * z * z)
-            elif k == "catenary":
-                out = -p["a"] / z
-            elif k == "sn-family":
-                out = p["p"] * z * np.sqrt(1.0 - z * z)
-            elif k in ("viviani", "clelia"):
-                out = (z * z - 1.0) / np.sqrt(p["n"] ** 2 + 1.0 - z * z)
-            else:
-                out = self._custom_table.eval(z) + self.c
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _at_z(z, self.law._K, self.c)
 
     __call__ = value
 
     def deriv(self, z):
         """K'(z) = kappa(z)."""
         return self.law.kappa(z)
-
-    def _KdK(self, z):
-        """The product K(z) kappa(z) in a form finite wherever P' is."""
-        p = self.law.params
-        k = self.law.kind
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if k == "loxodrome":
-                return -p["a"] ** 2 * z
-            if k == "loxo-one":
-                return -z
-            if k == "loxo-super":
-                return -p["a"] * z
-            if k == "sn-family":
-                return p["p"] ** 2 * z * (1.0 - 2.0 * z * z)
-            if k == "catenary":
-                return -p["a"] ** 2 / z**3
-            return self.value(z) * self.law.kappa(z)
 
     def P(self, z):
         """Admissibility profile 1 - z^2 - K(z)^2."""
@@ -343,11 +457,8 @@ class MomentumLaw:
 
     def dP(self, z):
         """P'(z) = -2 z - 2 K kappa, with the product kept cancellation-free."""
-        z = np.asarray(z, dtype=float)
-        out = -2.0 * z - 2.0 * self._KdK(z)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _at_z(z, lambda u, w, c: -2.0 * u - 2.0 * self.law._KdK(u, w, c),
+                     self.c)
 
     # -- phi-form ---------------------------------------------------------
 
@@ -357,89 +468,11 @@ class MomentumLaw:
         Agrees with K(sin phi) on the principal sheet and continues
         smoothly through pole passages (where sqrt branches would flip).
         """
-        phi = np.asarray(phi, dtype=float)
-        u = np.sin(phi)
-        w = np.cos(phi)
-        p = self.law.params
-        k = self.law.kind
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if k == "constant":
-                out = p["k0"] * u + self.c
-            elif k == "linear-elastica":
-                out = (p["a"] * u + p["b"]) * u + self.c
-            elif k == "loxodrome":
-                out = -p["a"] * w
-            elif k == "loxo-one":
-                out = -np.sqrt(p["a"] - u * u)
-            elif k == "loxo-super":
-                out = -np.sqrt(1.0 - p["a"] * u * u)
-            elif k == "catenary":
-                out = -p["a"] / u
-            elif k == "sn-family":
-                out = p["p"] * u * w
-            elif k in ("viviani", "clelia"):
-                out = -w * w / np.sqrt(p["n"] ** 2 + w * w)
-            else:
-                out = self._custom_table.eval(u) + self.c
-        if np.ndim(phi) == 0:
-            return float(out)
-        return out
+        return _at_phi(phi, self.law._K, self.c)
 
     def curvature_phi(self, phi):
         """Curvature along the curve as a function of extended latitude."""
-        phi = np.asarray(phi, dtype=float)
-        u = np.sin(phi)
-        w = np.cos(phi)
-        p = self.law.params
-        k = self.law.kind
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if k == "constant":
-                out = np.full_like(u, p["k0"])
-            elif k == "linear-elastica":
-                out = 2.0 * p["a"] * u + p["b"]
-            elif k == "loxodrome":
-                out = p["a"] * u / w
-            elif k == "loxo-one":
-                out = u / np.sqrt(p["a"] - u * u)
-            elif k == "loxo-super":
-                out = p["a"] * u / np.sqrt(1.0 - p["a"] * u * u)
-            elif k == "catenary":
-                out = p["a"] / (u * u)
-            elif k == "sn-family":
-                out = p["p"] * (w * w - u * u) / w
-            elif k in ("viviani", "clelia"):
-                n2 = p["n"] ** 2
-                g = n2 + w * w
-                out = u * (2.0 * n2 + w * w) / (g * np.sqrt(g))
-            else:
-                out = np.asarray(self.law.kappa(u), dtype=float)
-        if np.ndim(phi) == 0:
-            return float(out)
-        return out
-
-    def _prepare_rate_poly(self):
-        """Contact-reduced numerator for polynomial momenta, or None."""
-        k = self.law.kind
-        p = self.law.params
-        if k == "constant":
-            coefs = [p["k0"], self.c]
-        elif k == "linear-elastica":
-            coefs = [p["a"], p["b"], self.c]
-        else:
-            return None
-        tol = _CONTACT_COEF_TOL * (1.0 + sum(abs(x) for x in coefs))
-        north = abs(npp.polyval(1.0, coefs[::-1])) <= tol
-        if north:
-            coefs = _syndiv(coefs, 1.0)
-        south = abs(npp.polyval(-1.0, coefs[::-1])) <= tol
-        if south and len(coefs) > 1:
-            coefs = _syndiv(coefs, -1.0)
-        elif south and len(coefs) == 1:
-            # momentum is a multiple of (u - 1)(u + 1) only for degree >= 2
-            south = abs(coefs[0]) <= tol
-            if south:
-                coefs = [0.0]
-        return coefs, north, south
+        return _at_phi(phi, self.law._kap)
 
     def lambda_rate_phi(self, phi):
         """Longitude rate -M(phi) / cos^2(phi), cancellation-free at contacts.
@@ -449,92 +482,7 @@ class MomentumLaw:
         a finite rate; spiraling contacts evaluate to +-inf exactly at
         the pole, which is the honest limit.
         """
-        phi = np.asarray(phi, dtype=float)
-        u = np.sin(phi)
-        w = np.cos(phi)
-        p = self.law.params
-        k = self.law.kind
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if self._rate_poly is not None:
-                coefs, north, south = self._rate_poly
-                q = npp.polyval(u, list(reversed(coefs)))
-                if north and south:
-                    out = q
-                elif north:
-                    out = q / (1.0 + u)
-                elif south:
-                    out = -q / (1.0 - u)
-                else:
-                    out = -q / (w * w)
-            elif k == "loxodrome":
-                out = p["a"] / w
-            elif k == "loxo-one":
-                out = np.sqrt(p["a"] - u * u) / (w * w)
-            elif k == "loxo-super":
-                out = np.sqrt(1.0 - p["a"] * u * u) / (w * w)
-            elif k == "catenary":
-                out = p["a"] / (u * w * w)
-            elif k == "sn-family":
-                out = -p["p"] * u / w
-            elif k in ("viviani", "clelia"):
-                out = 1.0 / np.sqrt(p["n"] ** 2 + w * w)
-            else:
-                out = -(self._custom_table.eval(u) + self.c) / (w * w)
-        if np.ndim(phi) == 0:
-            return float(out)
-        return out
-
-
-class _CustomCumulative:
-    """Cumulative integral of a custom kappa from z = 0, Hermite-interpolated."""
-
-    _N = 4097
-
-    def __init__(self, law: CurvatureLaw):
-        lo, hi = law.domain
-        nodes = np.linspace(lo, hi, self._N)
-        kv = np.asarray(law.kappa(nodes), dtype=float)
-        bad = ~np.isfinite(kv)
-        if bad.any():
-            span = hi - lo
-            nodes = nodes.copy()
-            nodes[0] = nodes[0] + 1e-9 * span if bad[0] else nodes[0]
-            nodes[-1] = nodes[-1] - 1e-9 * span if bad[-1] else nodes[-1]
-            kv = np.asarray(law.kappa(nodes), dtype=float)
-            if not np.isfinite(kv).all():
-                raise ValueError(
-                    "custom law must be finite on the interior of its domain"
-                )
-        # integrate node to node with 7-point panels, then re-anchor at z = 0
-        h = np.diff(nodes)
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        pts = mid[:, None] + 0.5 * h[:, None] * _X7[None, :]
-        pv = np.asarray(law.kappa(pts.ravel()), dtype=float).reshape(pts.shape)
-        panels = 0.5 * h * (pv @ _W7)
-        vals = np.empty_like(nodes)
-        vals[0] = 0.0
-        vals[1:] = np.cumsum(panels)
-        self.nodes = nodes
-        self.vals = vals
-        self.kv = kv
-        anchor = min(max(0.0, lo), hi)
-        self.vals = vals - float(self.eval(anchor))
-
-    def eval(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        i = np.clip(np.searchsorted(self.nodes, z) - 1, 0, self.nodes.size - 2)
-        x0, x1 = self.nodes[i], self.nodes[i + 1]
-        y0, y1 = self.vals[i], self.vals[i + 1]
-        d0, d1 = self.kv[i], self.kv[i + 1]
-        h = x1 - x0
-        t = np.clip((z - x0) / h, 0.0, 1.0)
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        out = np.where((z < self.nodes[0]) | (z > self.nodes[-1]), np.nan, out)
-        return out if out.size > 1 else out.reshape(())
+        return _at_phi(phi, self.law._rate, self.c)
 
 
 def antiderivative(law: CurvatureLaw, c: float = 0.0) -> MomentumLaw:
@@ -605,7 +553,7 @@ def _newton_polish(K, x, lo, hi):
 
 
 def _double_roots(K, grid, Pv, pos):
-    """Interior double zeros of P inside positive runs, via dP Newton."""
+    """Interior double zeros of P inside positive runs, via dP bisection."""
     found = []
     n = grid.size
     if n < 5:
@@ -613,23 +561,25 @@ def _double_roots(K, grid, Pv, pos):
     Pmax = float(np.nanmax(np.where(pos, Pv, -np.inf)))
     if not math.isfinite(Pmax) or Pmax <= 0.0:
         return found
-    interior = np.zeros(n, dtype=bool)
-    interior[1:-1] = pos[1:-1] & pos[:-2] & pos[2:]
-    cand = interior & (Pv < 1e-4 * Pmax)
-    cand[1:-1] &= (Pv[1:-1] <= Pv[:-2]) & (Pv[1:-1] <= Pv[2:])
+    with np.errstate(all="ignore"):
+        dPv = np.asarray(K.dP(grid), dtype=float)
+    # a double zero is a local minimum of P, so P' turns from negative to
+    # positive across the grid neighbours; this holds however small P is
+    # near it, and a law with P' = 0 throughout offers no candidates
+    cand = np.zeros(n, dtype=bool)
+    cand[1:-1] = (pos[1:-1] & pos[:-2] & pos[2:]
+                  & (Pv[1:-1] <= Pv[:-2]) & (Pv[1:-1] <= Pv[2:])
+                  & (dPv[:-2] < 0.0) & (dPv[2:] > 0.0))
     for i in np.flatnonzero(cand):
-        x0, x1 = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)]
-        a, b = x0, x1
-        fa, fb = K.dP(a), K.dP(b)
-        if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb > 0.0:
-            continue
+        a, b = grid[i - 1], grid[i + 1]
+        fa = dPv[i - 1]
         for _ in range(120):
             m = 0.5 * (a + b)
             fm = K.dP(m)
             if not math.isfinite(fm):
                 break
             if fa * fm <= 0.0:
-                b, fb = m, fm
+                b = m
             else:
                 a, fa = m, fm
             if b - a <= 1e-15 * max(1.0, abs(m)):

@@ -165,6 +165,17 @@ class TestLoxodromeAngle:
             assert np.max(np.abs(ang - alpha)) < 1e-8
 
 
+class TestDefaults:
+    def test_sample_and_reconstruct_share_defaults(self):
+        for name in ("loxodrome", "loxo-one", "loxo-super", "catenary",
+                     "sn-family", "clelia"):
+            cf = closed_form(name)
+            law = family_law(name).law
+            assert cf.params, name
+            for k, v in cf.params.items():
+                assert law.params[k] == v, (name, k)
+
+
 class TestFactory:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="no closed form"):

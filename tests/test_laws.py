@@ -24,6 +24,8 @@ from sphericurve.laws import (
     viviani_law,
 )
 from sphericurve.families import closed_form
+from sphericurve.oracle import frenet_integrate, initial_state
+from sphericurve.reconstruct import ReconstructionConfig, reconstruct
 
 
 def _all_laws():
@@ -212,6 +214,52 @@ class TestAdmissibleIntervals:
         nu = math.sqrt(1.0 - 0.09)
         assert iv.z_lo == pytest.approx(-nu, abs=1e-8)
         assert iv.z_hi == pytest.approx(nu, abs=1e-8)
+
+
+class TestNearDegenerateDoubleRoot:
+    def test_borderline_just_above_half(self):
+        # P > 0 only on |z| < amp, where Pmax ~ 1e-8..1e-10, with a double
+        # zero at z = 0 that splits the band into two asymptotic halves
+        for a in (0.5001, 0.50001):
+            K = antiderivative(linear_elastica_law(a, 0.0), -1.0)
+            lo, hi = admissible_intervals(K, with_period=False)
+            amp = math.sqrt(2.0 * a - 1.0) / a
+            assert lo.z_lo == pytest.approx(-amp, abs=1e-9)
+            assert lo.z_hi == pytest.approx(0.0, abs=1e-9)
+            assert lo.hi_kind == OPEN_BOUNDARY
+            assert hi.z_lo == pytest.approx(0.0, abs=1e-9)
+            assert hi.z_hi == pytest.approx(amp, abs=1e-9)
+            assert hi.lo_kind == OPEN_BOUNDARY
+
+            tr = reconstruct(K, ReconstructionConfig(s_span=20.0, n_samples=401),
+                             interval=hi)
+            init = initial_state(K, interval=hi)
+            orc = frenet_integrate(K.law, init, 20.0, 1e-3, n_samples=401)
+            gap = np.linalg.norm(orc.xi - tr.xi, axis=1)
+            assert np.max(gap) < 1e-6, a
+
+
+class TestScalarKappa:
+    def test_matches_array_kappa(self):
+        laws = [K.law for K in _all_laws()]
+        laws.append(custom_law(lambda z: 0.4 + z / (2.0 - z), domain=(-0.8, 0.9)))
+        rng = np.random.default_rng(7)
+        for law in laws:
+            lo, hi = law.domain
+            # both edges, just outside them (kappa is NaN there), z = 0 (the
+            # catenary's pole) and z = +-1 (loxodrome and sn-family blow up)
+            zs = np.concatenate([rng.uniform(lo, hi, 50),
+                                 [lo, hi, lo - 1e-3, hi + 1e-3, 0.0, -1.0, 1.0]])
+            f = law.scalar_kappa()
+            for z in zs.tolist():
+                got, want = f(z), law.kappa(z)
+                if math.isnan(want):
+                    assert math.isnan(got), (law.kind, z)
+                elif math.isinf(want):
+                    assert got == want, (law.kind, z)
+                else:
+                    assert abs(got - want) <= 4.0 * np.spacing(abs(want)), (
+                        law.kind, z, got, want)
 
 
 class TestMomentumFromTrace:
