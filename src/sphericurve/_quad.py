@@ -2,10 +2,9 @@
 
 The error estimate on a panel is |GL15 - GL7|; a panel is accepted when
 that is below the local tolerance and split otherwise.  The batched
-variant drives many panels at once through vectorized integrand calls,
-which is what the longitude walk in reconstruction needs to stay fast.
+variant drives many panels at once through vectorized integrand calls.
 Cumulative tables built from these panels are read between their nodes
-by cubic Hermite interpolation.
+by cubic Hermite interpolation or through the Gauss polynomial (_INT15).
 """
 
 from __future__ import annotations
@@ -16,6 +15,12 @@ import numpy as np
 
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+# Legendre coefficients, from the 15 Gauss values on [-1, 1], of the integral
+# from -1 of the polynomial through them; at 1 it is the GL15 sum
+_INT15 = np.polynomial.legendre.legint(
+    (np.arange(15) + 0.5)[:, None]
+    * np.polynomial.legendre.legvander(_X15, 14).T * _W15, lbnd=-1)
+_INT15_MID = np.polynomial.legendre.legvander(0.0, 15)[0]
 
 _MAX_DEPTH = 48
 

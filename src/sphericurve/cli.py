@@ -19,23 +19,20 @@ import numpy as np
 from .families import closed_form, family_law, family_names
 from .laws import admissible_intervals
 from .oracle import frenet_integrate, initial_state
-from .reconstruct import CurveTrace, ReconstructionConfig, reconstruct
+from .reconstruct import ReconstructionConfig, _widest, reconstruct
 from .verify import Thresholds, compare_traces, verify_trace
 
 _CSV_HEADER = "s,z,phi,lambda,x,y,zc"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
+_CSV_BLOCK = 4096  # rows formatted per call
 
 
 def _write_csv(trace, stream) -> None:
     stream.write(_CSV_HEADER + "\n")
-    xi = trace.xi
-    for i in range(len(trace.s)):
-        row = (trace.s[i], trace.z[i], trace.phi[i], trace.lam[i],
-               xi[i, 0], xi[i, 1], xi[i, 2])
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    rows = np.column_stack([trace.s, trace.z, trace.phi, trace.lam, trace.xi])
+    for i in range(0, len(rows), _CSV_BLOCK):
+        block = rows[i:i + _CSV_BLOCK]
+        stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path: str):
@@ -74,11 +71,9 @@ def _law_from_args(args):
 
 def _interval_from_args(K, args):
     ivs = admissible_intervals(K)
-    if not ivs:
-        raise ValueError("law admits no motion: P(z) <= 0 everywhere")
     idx = getattr(args, "interval_index", None)
-    if idx is None:
-        return max(ivs, key=lambda iv: iv.width)
+    if idx is None or not ivs:
+        return _widest(ivs)
     if not 0 <= idx < len(ivs):
         raise ValueError(
             f"--interval-index {idx} out of range; {len(ivs)} interval(s)"
@@ -128,7 +123,7 @@ def _build_parser():
                        help="reconstruct a curve from its momentum law")
     _add_family_opts(p)
     p.add_argument("--interval-index", type=int, default=None,
-                   help="admissible interval (default: the widest)")
+                   help="admissible interval (default: the widest, ties upward)")
     _add_gauge_opts(p)
     p.add_argument("--s-span", type=float, default=2.0 * math.pi)
     p.add_argument("--n", type=int, default=801)
@@ -277,7 +272,7 @@ def _cmd_compare(args) -> int:
     a = _read_csv(args.csv_a)
     b = _read_csv(args.csv_b)
     dist = compare_traces(a, b)
-    print(_fmt(dist))
+    print("%.17g" % dist)
     return 0 if dist <= args.tol else 1
 
 

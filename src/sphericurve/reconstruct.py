@@ -9,9 +9,12 @@ Reflections at turning points, sheet changes at pole passages, truncation
 at domain edges and asymptotic approach to double roots are all handled
 by folding the arc-length coordinate.
 
-Longitude follows by integrating d(lambda)/ds = -M(phi)/cos^2(phi) along
-the folded motion; across a spiraling pole contact the finite part
-continues by the mirror rule lambda(s* + u) = lambda(s* - u).
+The same table carries the longitude rate d(lambda)/ds = -M(phi)/cos^2(phi)
+integrated over t, one column per sheet parity: between two events of the
+height motion lambda depends on the height alone, so each sample costs one
+table lookup and each whole leg adds +-Lam(L).  Across a spiraling pole
+contact the finite part continues by the mirror rule
+lambda(s* + u) = lambda(s* - u).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import gauss_adaptive, gauss_batch, hermite
+from ._quad import (_INT15, _INT15_MID, _W7, _W15, _X7, _X15,
+                    gauss_adaptive, hermite)
 from .laws import (
     _POLE_MOMENTUM_TOL,
     OPEN_BOUNDARY,
@@ -48,7 +52,7 @@ class ReconstructionConfig:
 
     s_span      total arc length; samples cover [-s_span/2, +s_span/2]
     n_samples   number of samples (>= 16)
-    quad_tol    absolute tolerance for the longitude quadratures
+    quad_tol    absolute tolerance of the leg table's quadratures
     z0          height at s = 0; defaults to the interval midpoint and
                 must lie strictly inside the interval
     lambda0     longitude at s = 0
@@ -104,8 +108,24 @@ def _phi_extended(sheet: np.ndarray, z: np.ndarray) -> np.ndarray:
     return sheet * np.pi + sgn * np.arcsin(np.clip(z, -1.0, 1.0))
 
 
+def _spirals(K: MomentumLaw, z_pole: float) -> bool:
+    """Whether the longitude diverges at a pole contact at z_pole (iff kappa
+    does: a 1/sqrt-or-worse blowup shows as a ~1e3 jump between probes)."""
+    k_in = K.deriv(z_pole * (1.0 - 1e-3))
+    k_near = K.deriv(z_pole * (1.0 - 1e-9))
+    return not math.isfinite(k_near) or abs(k_near) > 1e2 * (1.0 + abs(k_in))
+
+
 class _Leg:
-    """Cumulative arc table s(t) over one admissible interval."""
+    """Cumulative arc and longitude table over one admissible interval.
+
+    Over t: the arc s(t) = int g dt, g = ds/dt, cubic Hermite between the
+    nodes t; per sheet parity p the longitude Lam_p(t) = int rate_p g dt
+    (rate_p: the rate where cos(phi) has sign (-1)^p), between the nodes
+    tl the integral of the polynomial through each panel's Gauss values.
+    At a spiraling pole contact the longitude stops _POLE_CUT of arc short
+    of the end, continuing as A log(distance) with A read off the cut.
+    """
 
     def __init__(self, K: MomentumLaw, iv: AdmissibleInterval,
                  quad_tol: float, t0: float, need_arc: float):
@@ -113,20 +133,22 @@ class _Leg:
         self.iv = iv
         self.m = 0.5 * (iv.z_lo + iv.z_hi)
         self.r = 0.5 * (iv.z_hi - iv.z_lo)
-        self.asym_lo = iv.lo_kind == OPEN_BOUNDARY and (
-            K.P(iv.z_lo) <= _ASYMPTOTE_P_TOL
-        )
-        self.asym_hi = iv.hi_kind == OPEN_BOUNDARY and (
-            K.P(iv.z_hi) <= _ASYMPTOTE_P_TOL
-        )
+        self.asym_lo = (iv.lo_kind == OPEN_BOUNDARY
+                        and K.P(iv.z_lo) <= _ASYMPTOTE_P_TOL)
+        self.asym_hi = (iv.hi_kind == OPEN_BOUNDARY
+                        and K.P(iv.z_hi) <= _ASYMPTOTE_P_TOL)
+        self.spiral = (iv.lo_kind == POLE_PASSAGE and _spirals(K, -1.0),
+                       iv.hi_kind == POLE_PASSAGE and _spirals(K, 1.0))
+        # odd sheets (cos(phi) < 0) are only reached through a pole
+        # passage, and need a column of their own only where the rate
+        # depends on the sign of cos(phi)
+        even, odd = K.lambda_rate_phi(np.array([0.3, np.pi - 0.3]))
+        self.parities = 1 + (POLE_PASSAGE in (iv.lo_kind, iv.hi_kind)
+                             and abs(odd - even) > 1e-12 * abs(even))
+        self.rate_points = self.newton_iters_max = 0
         half_pi = math.pi / 2.0
-        t_lo = -half_pi
-        t_hi = half_pi
-        if self.asym_lo:
-            t_lo = -half_pi + min(0.01, 0.5 * (t0 + half_pi))
-        if self.asym_hi:
-            t_hi = half_pi - min(0.01, 0.5 * (half_pi - t0))
-
+        t_lo = -half_pi + (min(0.01, 0.5 * (t0 + half_pi)) if self.asym_lo else 0.0)
+        t_hi = half_pi - (min(0.01, 0.5 * (half_pi - t0)) if self.asym_hi else 0.0)
         nodes = list(np.linspace(t_lo, t_hi, 65))
         # rough extension toward excluded double-root ends until the table
         # spans need_arc of arc on each side of t0
@@ -134,41 +156,53 @@ class _Leg:
             nodes = self._extend(nodes, t0, need_arc, low=True)
         if self.asym_hi:
             nodes = self._extend(nodes, t0, need_arc, low=False)
+        # longitude cuts at spiral ends, where s is linear in t to O(cut^3)
+        self.cut = [-math.inf, math.inf]
+        if self.spiral[0]:
+            self.cut[0] = -half_pi + _POLE_CUT / self._g_limit(-1.0, POLE_PASSAGE)
+        if self.spiral[1]:
+            self.cut[1] = half_pi - _POLE_CUT / self._g_limit(1.0, POLE_PASSAGE)
 
-        tol = max(quad_tol / 64.0, 1e-14)
-        t_arr, panels, g_nodes = self._refine(np.asarray(nodes), tol)
-        self.t = t_arr
-        self.g = g_nodes
-        self.s = np.concatenate([[0.0], np.cumsum(panels)])
+        self._refine(np.asarray(nodes), max(quad_tol / 64.0, 1e-14), t0)
         self.total = float(self.s[-1])
+        self._ends()
 
-    # -- integrand ---------------------------------------------------------
-
-    def _p_of_t(self, t):
-        """P(m + r sin t) with 1 - z^2 assembled free of cancellation.
-
-        1 -+ sin t has an exact half-angle form, so 1 -+ z stays relative
-        accurate however close the interval endpoint sits to a pole.
-        """
-        q = 0.25 * np.pi - 0.5 * t
-        one_m = 2.0 * np.sin(q) ** 2
-        one_p = 2.0 * np.cos(q) ** 2
-        omz = self.r * one_m + (1.0 - self.m - self.r)
-        opz = self.r * one_p + (1.0 + self.m - self.r)
-        z = self.m + self.r * np.sin(t)
-        with np.errstate(invalid="ignore"):
-            Kv = self.K.value(z)
-        return omz * opz - Kv * Kv
+    # -- integrands --------------------------------------------------------
 
     def _g_and_p(self, t):
-        # P carries ~5e-16 of absolute roundoff from the K^2 cancellation;
-        # flooring there keeps g bounded near the roots instead of spiking
-        with np.errstate(invalid="ignore"):
-            P = np.maximum(self._p_of_t(t), 5e-16)
-        return self.r * np.cos(t) / np.sqrt(P), P
+        """ds/dt, the share of P that is roundoff, z and 1 - z^2 at t; the
+        exact half-angle form of 1 -+ sin t keeps 1 -+ z, and with it
+        cos^2(phi) = 1 - z^2, relative accurate next to a pole."""
+        q = 0.25 * np.pi - 0.5 * t
+        omz = self.r * (2.0 * np.sin(q) ** 2) + (1.0 - self.m - self.r)
+        opz = self.r * (2.0 * np.cos(q) ** 2) + (1.0 + self.m - self.r)
+        z = self.m + self.r * np.sin(t)
+        w2 = omz * opz
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if any(self.spiral):
+                # K ~ cos(phi) at a spiral contact: taken from that cos(phi),
+                # P = cos^2 - K^2 keeps its accuracy relative to cos^2
+                Kv = self.K.momentum_phi(np.arctan2(z, np.sqrt(w2)))
+                noise = 5e-16 * w2
+            else:
+                Kv = self.K.value(z)
+                noise = 5e-16
+            # P carries this roundoff from the K^2 cancellation; flooring
+            # there keeps g bounded near the roots
+            P = np.maximum(w2 - Kv * Kv, noise)
+            return (self.r * np.cos(t) / np.sqrt(P),
+                    np.minimum(0.5 * noise / P, 1.0), z, w2)
 
-    def _g_raw(self, t):
-        return self._g_and_p(t)[0]
+    def _columns(self, t):
+        """g, the longitude rate per parity (rows) and P's noise share."""
+        g, frac, z, w2 = self._g_and_p(t)
+        # latitude from the cancellation-free cos: 1/cos(phi) in a rate
+        # then keeps its relative accuracy next to a pole
+        phi = np.arctan2(z, np.sqrt(w2))
+        if self.parities == 2:
+            phi = np.concatenate([phi, np.pi - phi])
+        self.rate_points += phi.size
+        return g, self.K.lambda_rate_phi(phi).reshape(self.parities, -1), frac
 
     def _g_limit(self, z_end: float, kind: str) -> float:
         if kind == OPEN_BOUNDARY:
@@ -177,7 +211,7 @@ class _Leg:
         return math.sqrt(2.0 * self.r / max(d, 1e-12))
 
     def _g_at_nodes(self, t):
-        g = self._g_raw(t)
+        g = self._g_and_p(t)[0]
         half_pi = math.pi / 2.0
         g = np.where(t == -half_pi, self._g_limit(self.iv.z_lo, self.iv.lo_kind), g)
         g = np.where(t == half_pi, self._g_limit(self.iv.z_hi, self.iv.hi_kind), g)
@@ -186,13 +220,11 @@ class _Leg:
     # -- construction ------------------------------------------------------
 
     def _extend(self, nodes, t0, need_arc, low: bool):
-        from ._quad import _W7, _X7
-
         half_pi = math.pi / 2.0
         end = -half_pi if low else half_pi
         # rough arc from t0 to the current inner edge
         probe = np.linspace(nodes[0] if low else nodes[-1], t0, 33)
-        gv = self._g_raw(probe)
+        gv = self._g_and_p(probe)[0]
         arc = abs(float(np.sum(0.5 * (gv[1:] + gv[:-1]) * np.diff(probe))))
         for _ in range(80):
             if arc >= need_arc:
@@ -204,69 +236,147 @@ class _Leg:
             a, b = (new_t, edge) if low else (edge, new_t)
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
-            piece = half * float(np.dot(_W7, self._g_raw(mid + half * _X7)))
-            arc += abs(piece)
+            arc += abs(half * float(np.dot(_W7, self._g_and_p(mid + half * _X7)[0])))
             if low:
                 nodes.insert(0, new_t)
             else:
                 nodes.append(new_t)
         return nodes
 
-    def _refine(self, t, tol):
-        from ._quad import _W15, _X15, _W7, _X7
-
+    def _refine(self, t, tol, t0):
+        """Split panels (evaluating only new ones) until every column
+        passes |GL15 - GL7| and its interpolant's left-half value matches
+        the left half's GL15.  The arc keeps each panel where it first
+        passes (splitting on next to a root of P only adds P's roundoff
+        to s), so its nodes t are a subset of the longitude nodes tl; a
+        panel holding a spiral cut is then split on the cut.
+        """
+        g_n = self._g_at_nodes(t)
+        a, b, ga, gb = t[:-1], t[1:], g_n[:-1], g_n[1:]
+        arc_done = np.zeros(a.size, dtype=bool)
+        arc, lon = [], []
         for it in range(41):
-            a, b = t[:-1], t[1:]
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            g_n = self._g_at_nodes(t)
-            p15 = mid[:, None] + half[:, None] * _X15[None, :]
-            p7 = mid[:, None] + half[:, None] * _X7[None, :]
-            y15, P15 = self._g_and_p(p15.ravel())
-            y15 = y15.reshape(p15.shape)
-            P15 = P15.reshape(p15.shape)
-            y7 = self._g_raw(p7.ravel()).reshape(p7.shape)
-            i15 = half * (y15 @ _W15)
-            i7 = half * (y7 @ _W7)
-            # left half-panel integral for the Hermite midpoint check
-            midl = 0.5 * (a + mid)
-            halfl = 0.25 * (b - a)
-            y15l = self._g_raw(
-                (midl[:, None] + halfl[:, None] * _X15[None, :]).ravel()
-            ).reshape(p15.shape)
-            i15l = halfl * (y15l @ _W15)
-            pred = 0.5 * i15 + (b - a) * (g_n[:-1] - g_n[1:]) / 8.0
+            n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
+            g, rate, frac = self._columns(np.concatenate([
+                (mid[:, None] + half[:, None] * _X15[None, :]).ravel(),
+                (mid[:, None] + half[:, None] * _X7[None, :]).ravel(),
+                (0.5 * (a + mid)[:, None]
+                 + 0.5 * half[:, None] * _X15[None, :]).ravel()]))
+            cols = np.vstack([g, rate * g])
+            y15, y7, y15l = (cols[:, i:j].reshape(len(cols), n, -1) for i, j in
+                             ((0, 15 * n), (15 * n, 22 * n), (22 * n, 37 * n)))
+            # panels past a spiral cut carry no longitude
+            live = (a >= self.cut[0]) & (b <= self.cut[1])
+            for y in (y15, y7, y15l):
+                y[1:, ~live] = 0.0
+            i15, i7 = half * (y15 @ _W15), half * (y7 @ _W7)
+            i15l = 0.5 * half * (y15l @ _W15)
+            coef = y15 @ _INT15.T
+            pred = np.vstack([0.5 * i15[0] + (b - a) * (ga - gb) / 8.0,
+                              half * (coef[1:] @ _INT15_MID)])
             # refinement cannot resolve below the roundoff carried by P;
             # estimate that noise per panel and accept once it dominates
-            frac = np.minimum(0.5 * 5e-16 / P15, 1.0)
-            noise = np.abs(half) * ((y15 * frac) @ _W15)
-            tol_eff = np.maximum(tol, 4.0 * np.abs(noise))
-            bad = (np.abs(i15 - i7) > tol_eff) | (np.abs(pred - i15l) > tol_eff)
-            bad &= (b - a) > 1e-6
-            if not bad.any() or it == 40:
-                return t, i15, g_n
-            t = np.sort(np.concatenate([t, mid[bad]]))
+            tol_eff = np.maximum(tol, 4.0 * np.abs(half) * (
+                (np.abs(y15) * frac[:15 * n].reshape(n, 15)) @ _W15))
+            miss = (np.abs(i15 - i7) > tol_eff) | (np.abs(pred - i15l) > tol_eff)
+            on_lo = (a < self.cut[0]) & (self.cut[0] < b)
+            on_hi = (a < self.cut[1]) & (self.cut[1] < b)
+            wide = ((b - a) > 1e-6) & (it < 40)
+            bad_arc = miss[0] & ~arc_done & wide
+            split = bad_arc | (miss[1:].any(axis=0) & live & wide) | on_lo | on_hi
+            new = ~arc_done & ~bad_arc
+            arc.append((a[new], ga[new], i15[0, new], coef[0, new]))
+            lon.append((a[~split], coef[1:, ~split], i15[:, ~split]))
+            if not split.any():
+                break
+            at = np.where(bad_arc, mid, np.where(
+                on_lo, self.cut[0], np.where(on_hi, self.cut[1], mid)))[split]
+            arc_done = np.tile((arc_done | ~bad_arc)[split], 2)
+            gm = self._g_at_nodes(at)
+            a, b = np.concatenate([a[split], at]), np.concatenate([at, b[split]])
+            ga, gb = np.concatenate([ga[split], gm]), np.concatenate([gm, gb[split]])
+
+        a, g, ds, coef = (np.concatenate(x) for x in zip(*arc))
+        order = np.argsort(a)
+        self.t = np.append(a[order], t[-1])
+        self.g = np.append(g[order], g_n[-1])
+        self.s = np.concatenate([[0.0], np.cumsum(ds[order])])
+        self.arc_coef = coef[order]
+        a, coef, sums = zip(*lon)
+        order = np.argsort(np.concatenate(a))
+        self.tl = np.append(np.concatenate(a)[order], t[-1])
+        self.coef = np.concatenate(coef, axis=1)[:, order]
+        ds, *dlam = np.concatenate(sums, axis=1)[:, order]
+        dlam = np.array(dlam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.mean_rate = np.where(ds > 0.0, dlam / ds, 0.0)
+        # summed outward from the gauge point's node, so values near the
+        # window stay small and carry a small rounding error
+        k = int(np.searchsorted(self.tl, t0))
+        self.lam = np.concatenate([
+            -np.cumsum(dlam[:, :k][:, ::-1], axis=1)[:, ::-1],
+            np.zeros((self.parities, 1)), np.cumsum(dlam[:, k:], axis=1)], axis=1)
+
+    def _ends(self):
+        """join[p, e]: Lam_p where end e (lo 0, hi 1) joins the next leg,
+        at the cut for a spiral end, cut_dist arc away, where the residue
+        A[p, e] of rate ~ A / (tau - tau_end) (odd corrections only) is
+        read; slope[p, e]: the rate at an asymptotic end, which holds for
+        arc past the table, where the height freezes."""
+        idx = [0, self.tl.size - 1]
+        self.cut_dist = [0.0, 0.0]
+        self.A = np.zeros((self.parities, 2))
+        self.slope = np.zeros((self.parities, 2))
+        for e, asym, tau_end in ((0, self.asym_lo, 0.0),
+                                 (1, self.asym_hi, self.total)):
+            if self.spiral[e]:
+                idx[e] = int(np.searchsorted(self.tl, self.cut[e]))
+                off = float(self.s_of_t(self.cut[e])) - tau_end
+                self.cut_dist[e] = abs(off)
+                self.A[:, e] = self._columns(np.array([self.cut[e]]))[1][:, 0] * off
+            elif asym:
+                self.slope[:, e] = self._columns(self.tl[idx[e]:idx[e] + 1])[1][:, 0]
+        self.join = self.lam[:, idx]
 
     # -- evaluation --------------------------------------------------------
 
-    def _locate(self, tau):
-        i = np.clip(np.searchsorted(self.s, tau) - 1, 0, self.s.size - 2)
-        return i
+    @staticmethod
+    def _panel(nodes, t):
+        i = np.clip(np.searchsorted(nodes, t) - 1, 0, nodes.size - 2)
+        h = nodes[i + 1] - nodes[i]
+        return i, h, np.clip((t - nodes[i]) / h, 0.0, 1.0)
 
     def s_of_t(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.t, t) - 1, 0, self.t.size - 2)
-        t0, t1 = self.t[i], self.t[i + 1]
-        h = t1 - t0
-        x = np.clip((t - t0) / h, 0.0, 1.0)
+        i, h, x = self._panel(self.t, np.asarray(t, dtype=float))
         return hermite(x, h, self.s[i], self.g[i], self.s[i + 1], self.g[i + 1])
+
+    def lam_of(self, tau, t, p):
+        """Lam_p at table positions tau (arc) and t, per-point parity p."""
+        legvander = np.polynomial.legendre.legvander
+        i, h, x = self._panel(self.tl, t)
+        lam = self.lam[p, i] + 0.5 * h * np.einsum(
+            "nk,nk->n", legvander(2.0 * x - 1.0, 15), self.coef[p, i])
+        # t came from the Hermite arc table; the arc's Gauss polynomial
+        # puts it at arc s_t, off tau by the Hermite error, which the
+        # panel's mean rate turns into longitude
+        j, h, x = self._panel(self.t, t)
+        s_t = self.s[j] + 0.5 * h * np.einsum(
+            "nk,nk->n", legvander(2.0 * x - 1.0, 15), self.arc_coef[j])
+        lam += self.mean_rate[p, i] * (np.clip(tau, 0.0, self.total) - s_t)
+        lam += (self.slope[p, 0] * np.minimum(tau, 0.0)
+                + self.slope[p, 1] * np.maximum(tau - self.total, 0.0))
+        for e, dist in ((0, tau), (1, self.total - tau)):
+            if self.spiral[e]:
+                near = np.flatnonzero(dist < self.cut_dist[e])
+                with np.errstate(divide="ignore"):
+                    lam[near] = self.join[p[near], e] + self.A[p[near], e] * np.log(
+                        dist[near] / self.cut_dist[e])
+        return lam
 
     def t_of_s(self, tau):
         tau = np.clip(np.asarray(tau, dtype=float), 0.0, self.total)
-        i = self._locate(tau)
-        lo = self.t[i].copy()
-        hi = self.t[i + 1].copy()
-        t0, t1 = self.t[i], self.t[i + 1]
+        i = np.clip(np.searchsorted(self.s, tau) - 1, 0, self.s.size - 2)
+        lo, hi = t0, t1 = self.t[i], self.t[i + 1]
         h = t1 - t0
         s0, s1 = self.s[i], self.s[i + 1]
         g0, g1 = self.g[i], self.g[i + 1]
@@ -275,7 +385,7 @@ class _Leg:
             cur = np.where(s1 > s0, t0 + h * (tau - s0) / (s1 - s0),
                            0.5 * (t0 + t1))
         cur = np.clip(cur, lo, hi)
-        for _ in range(80):
+        for it in range(80):
             x = (cur - t0) / h
             # kept bound: freed at once, it let the allocator return pages
             # that each iteration then faulted in again (t_of_s 25% slower)
@@ -293,8 +403,11 @@ class _Leg:
                      + (3.0 * x * x - 2.0 * x) * g1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 nxt = cur - err / slope
-            ok = np.isfinite(nxt) & (nxt > lo) & (nxt < hi)
+            # a step onto a bracket end is a good step (the root often
+            # sits on a node); only steps leaving the bracket bisect
+            ok = np.isfinite(nxt) & (nxt >= lo) & (nxt <= hi)
             cur = np.where(ok, nxt, 0.5 * (lo + hi))
+        self.newton_iters_max = max(self.newton_iters_max, it)
         return cur
 
     def z_of_t(self, t):
@@ -303,30 +416,27 @@ class _Leg:
 
 
 class _Motion:
-    """Folded height motion plus sheet and longitude bookkeeping."""
+    """Folded height motion over one leg table, plus sheet bookkeeping."""
 
     def __init__(self, K: MomentumLaw, iv: AdmissibleInterval,
-                 cfg: ReconstructionConfig):
-        self.K = K
+                 half_span: float, quad_tol: float,
+                 z0: Optional[float] = None, dz_sign0: int = 1):
         self.iv = iv
-        self.cfg = cfg
         m = 0.5 * (iv.z_lo + iv.z_hi)
         r = 0.5 * (iv.z_hi - iv.z_lo)
-        z0 = cfg.z0 if cfg.z0 is not None else m
+        z0 = z0 if z0 is not None else m
         if not iv.z_lo < z0 < iv.z_hi:
             raise ValueError(
                 f"z0 = {z0} must lie strictly inside ({iv.z_lo}, {iv.z_hi})"
             )
         self.z0 = float(z0)
-        t0 = math.asin(min(1.0, max(-1.0, (z0 - m) / r)))
-        half = 0.5 * cfg.s_span
-        self.leg = _Leg(K, iv, cfg.quad_tol, t0, need_arc=half + 1.0)
-        self.S0 = float(self.leg.s_of_t(np.array([t0]))[0])
-        self.d0 = int(cfg.dz_sign0)
+        self.t0 = math.asin(min(1.0, max(-1.0, (z0 - m) / r)))
+        self.leg = _Leg(K, iv, quad_tol, self.t0, need_arc=half_span + 1.0)
+        self.S0 = float(self.leg.s_of_t(np.array([self.t0]))[0])
+        self.d0 = int(dz_sign0)
         self.lo_closed = iv.lo_kind != OPEN_BOUNDARY
         self.hi_closed = iv.hi_kind != OPEN_BOUNDARY
         self.L = self.leg.total
-        self._build_events(half)
 
     # -- folding -----------------------------------------------------------
 
@@ -343,240 +453,122 @@ class _Motion:
         return u
 
     def _attainable_u(self):
-        L = self.L
-        lo_stop = -math.inf
-        hi_stop = math.inf
+        """Unfolded arc range of the motion; a truncating open end stops it."""
+        L, asym_lo, asym_hi = self.L, self.leg.asym_lo, self.leg.asym_hi
         if self.lo_closed and self.hi_closed:
-            return lo_stop, hi_stop
+            return -math.inf, math.inf
         if self.hi_closed:
-            if not self.leg.asym_lo:
-                lo_stop, hi_stop = 0.0, 2.0 * L
-        elif self.lo_closed:
-            if not self.leg.asym_hi:
-                lo_stop, hi_stop = -L, L
-        else:
-            if not self.leg.asym_lo:
-                lo_stop = 0.0
-            if not self.leg.asym_hi:
-                hi_stop = L
-        return lo_stop, hi_stop
+            return (-math.inf, math.inf) if asym_lo else (0.0, 2.0 * L)
+        if self.lo_closed:
+            return (-math.inf, math.inf) if asym_hi else (-L, L)
+        return (-math.inf if asym_lo else 0.0), (math.inf if asym_hi else L)
 
-    def _build_events(self, half_span):
+    def _build_events(self, half_span, n_samples):
         """Reflection events inside the working window, and sheet states."""
         L = self.L
         lo_u, hi_u = self._attainable_u()
-        pad = 2.0 * half_span / max(self.cfg.n_samples - 1, 1) + 1e-12
+        pad = 2.0 * half_span / max(n_samples - 1, 1) + 1e-12
         u_min = max(self.S0 - half_span - pad, lo_u)
         u_max = min(self.S0 + half_span + pad, hi_u)
 
-        events = []  # (s, endpoint_hi?, kind)
-        if self.lo_closed or self.hi_closed:
-            if self.lo_closed and self.hi_closed:
-                ks = range(int(math.floor(u_min / L)) - 1,
-                           int(math.ceil(u_max / L)) + 2)
-                coords = [(k * L, k % 2 == 1) for k in ks if k * L != self.S0]
-            elif self.hi_closed:
-                coords = [(L, True)]
-            else:
-                coords = [(0.0, False)]
-            for u_e, is_hi in coords:
-                if not (u_min - 1e-12 <= u_e <= u_max + 1e-12):
-                    continue
-                s_e = (u_e - self.S0) / self.d0
-                kind = self.iv.hi_kind if is_hi else self.iv.lo_kind
-                events.append((s_e, is_hi, kind))
-        events.sort(key=lambda e: e[0])
+        # leg ends sit at u = k L, the hi end for odd k
+        if self.lo_closed and self.hi_closed:
+            k = np.arange(math.floor(u_min / L) - 1, math.ceil(u_max / L) + 2)
+        else:
+            k = np.array([1] if self.hi_closed else [0] if self.lo_closed else [],
+                         dtype=int)
+        u_e = k * L
+        keep = (u_min - 1e-12 <= u_e) & (u_e <= u_max + 1e-12) & (u_e != self.S0)
+        s_e = (u_e[keep] - self.S0) / self.d0
+        order = np.argsort(s_e)
+        self.ev_s = s_e[order]
+        self.ev_hi = (k[keep] % 2 == 1)[order]
+        self.ev_kind = [self.iv.hi_kind if h else self.iv.lo_kind for h in self.ev_hi]
+        self.ev_contact = np.where(self.ev_hi, self.iv.hi_kind == POLE_PASSAGE,
+                                   self.iv.lo_kind == POLE_PASSAGE)
+        self.ev_spiral = self.ev_contact & np.take(self.leg.spiral, 1 * self.ev_hi)
 
-        self.ev_s = np.array([e[0] for e in events])
-        self.ev_hi = np.array([e[1] for e in events], dtype=bool)
-        self.ev_kind = [e[2] for e in events]
-        self.ev_contact = np.array(
-            [k == POLE_PASSAGE for k in self.ev_kind], dtype=bool
-        )
-        spiral = []
-        for is_hi, k in zip(self.ev_hi, self.ev_kind):
-            if k != POLE_PASSAGE:
-                spiral.append(False)
-                continue
-            # the longitude stays bounded through a contact iff kappa does;
-            # a 1/sqrt-or-worse blowup shows as a ~1e3 jump between probes
-            sgn = 1.0 if is_hi else -1.0
-            k_in = self.K.deriv(sgn * (1.0 - 1e-3))
-            k_near = self.K.deriv(sgn * (1.0 - 1e-9))
-            spiral.append(
-                not math.isfinite(k_near)
-                or abs(k_near) > 1e2 * (1.0 + abs(k_in))
-            )
-        self.ev_spiral = np.array(spiral, dtype=bool)
-
-        # sheet and dz sign per segment between events
-        n_ev = self.ev_s.size
-        seg_m = np.zeros(n_ev + 1, dtype=int)
-        seg_dz = np.zeros(n_ev + 1, dtype=int)
-        i0 = int(np.searchsorted(self.ev_s, 0.0, side="right"))
-        seg_m[i0] = 0
-        seg_dz[i0] = self.d0
-        mm, dd = 0, self.d0
-        for j in range(i0, n_ev):
-            if self.ev_contact[j]:
-                mm = mm + 1 if ((-1) ** mm) * dd > 0 else mm - 1
-            dd = -dd
-            seg_m[j + 1] = mm
-            seg_dz[j + 1] = dd
-        mm, dd = 0, self.d0
-        for j in range(i0 - 1, -1, -1):
-            # walking left across an event: invert the forward rules
-            if self.ev_contact[j]:
-                mm = mm - 1 if ((-1) ** mm) * dd > 0 else mm + 1
-            dd = -dd
-            seg_m[j] = mm
-            seg_dz[j] = dd
-        self.seg_m = seg_m
-        self.seg_dz = seg_dz
-
-        s_lo_u, s_hi_u = lo_u, hi_u
-        bounds = sorted(((s_lo_u - self.S0) / self.d0,
-                         (s_hi_u - self.S0) / self.d0))
-        self.s_att_lo, self.s_att_hi = bounds
+        # per segment between events: dz/ds flips sign at every event; the
+        # direction of phi, (-1)^sheet dz/ds, flips at turning points only,
+        # and carries the sheet one step on through each pole passage
+        self.i0 = int(np.searchsorted(self.ev_s, 0.0, side="right"))
+        self.seg_dz = self.d0 * (-1) ** np.abs(np.arange(self.ev_s.size + 1) - self.i0)
+        flips = np.cumprod(np.concatenate([[1], np.where(self.ev_contact, 1, -1)]))
+        step = np.where(self.ev_contact, self.d0 * flips[:-1] * flips[self.i0], 0)
+        self.seg_m = np.concatenate([[0], np.cumsum(step)])
+        self.seg_m -= self.seg_m[self.i0]
+        self.s_att_lo, self.s_att_hi = sorted(((lo_u - self.S0) / self.d0,
+                                               (hi_u - self.S0) / self.d0))
 
     # -- sampling ----------------------------------------------------------
 
     def state_of_s(self, s):
-        """Height, extended latitude and dz sign at arbitrary arc values."""
+        """Table parameter, segment, height and extended latitude at s."""
         s = np.asarray(s, dtype=float)
-        u = self.S0 + self.d0 * s
-        tau = self._fold(u)
-        t = self.leg.t_of_s(tau)
+        t = self.leg.t_of_s(self._fold(self.S0 + self.d0 * s))
         z = self.leg.z_of_t(t)
         seg = np.searchsorted(self.ev_s, s, side="right")
-        sheet = self.seg_m[seg]
-        phi = _phi_extended(sheet, z)
-        dz = self.seg_dz[seg]
-        return z, phi, dz
+        return t, seg, z, _phi_extended(self.seg_m[seg], z)
 
-    def rate_of_s(self, s):
-        _, phi, _ = self.state_of_s(s)
-        return self.K.lambda_rate_phi(phi)
+    def longitude(self, s, t, seg, lambda0):
+        """Longitude at sorted attainable arc values s, and the indices of
+        samples sitting on a spiral contact.
 
-    def longitude(self, samples: np.ndarray) -> np.ndarray:
-        """Longitude at the given (sorted, attainable) arc values."""
-        cfg = self.cfg
-        n = samples.size
-        lam = np.full(n, cfg.lambda0, dtype=float)
-        if n == 0:
-            return lam
-        spans = []
-        for side in (1, -1):
-            if side == 1:
-                idx = np.flatnonzero(samples > 0.0)
-            else:
-                idx = np.flatnonzero(samples < 0.0)[::-1]
-            prev = 0.0
-            for i in idx:
-                spans.append((prev, float(samples[i]), i))
-                prev = float(samples[i])
-        if not spans:
-            lam[samples == 0.0] = cfg.lambda0
-            return lam
+        On a segment between events lambda = c + sigma Lam_p(tau) with
+        sigma = dtau/ds; c carries over each event by continuity at the
+        leg end (at a spiral contact: at the cut, which continues the
+        finite part by the mirror rule lambda(s* + u) = lambda(s* - u)).
+        """
+        leg = self.leg
+        par = self.seg_m % leg.parities
+        sig = self.seg_dz.astype(float)
+        star_i = np.flatnonzero(self.ev_spiral)
+        star = self.ev_s[star_i]
 
-        a = np.array([p[0] for p in spans])
-        b = np.array([p[1] for p in spans])
-        tgt = b.copy()
-        extra = np.zeros(a.size)
-        spiral_note = []
-        spiral_idx = np.flatnonzero(self.ev_spiral)
-        spiral_s = self.ev_s[spiral_idx]
-        # rate(s) ~ A / (s - s*) near a spiraling contact, with only odd
-        # corrections; inside _POLE_CUT of s* the tail integrates to
-        # A log-ratios exactly, and quadrature never touches the wall
-        coefs = {}
+        def slack(x):  # event positions carry arc-table error
+            return 1e-9 * (1.0 + np.abs(x))
 
-        def residue(k):
-            if k not in coefs:
-                jev = int(spiral_idx[k])
-                m = int(self.seg_m[jev])
-                z_star = 1.0 if self.ev_hi[jev] else -1.0
-                phi_star = _phi_extended(m, z_star)
-                h = 1e-5
-                dK = (self.K.momentum_phi(phi_star + h)
-                      - self.K.momentum_phi(phi_star - h)) / (2.0 * h)
-                rate = (self.seg_dz[jev] * (1 - 2 * (m % 2))
-                        * math.sqrt(abs(self.K.dP(z_star)) / 2.0))
-                coefs[k] = -dK / rate
-            return coefs[k]
+        pts = np.sort(np.append(s, 0.0))
+        if star.size and (np.searchsorted(star, pts[1:] + slack(pts[1:]), "right")
+                          - np.searchsorted(star, pts[:-1] - slack(pts[:-1]))
+                          > 1).any():
+            raise ValueError(
+                "sample spacing too coarse: multiple spiral contacts "
+                "inside one step"
+            )
+        e = self.ev_hi.astype(int)
+        c = np.concatenate([[0.0], np.cumsum(sig[:-1] * leg.join[par[:-1], e]
+                                             - sig[1:] * leg.join[par[1:], e])])
+        c += lambda0 - c[self.i0] - sig[self.i0] * leg.lam_of(
+            np.array([self.S0]), np.array([self.t0]), np.zeros(1, dtype=int))[0]
+        lam = c[seg] + sig[seg] * leg.lam_of(
+            self._fold(self.S0 + self.d0 * s), t, par[seg])
+        on = []
+        for j, sj in zip(star_i, star):
+            # a sample on the contact reports the finite approach value a
+            # hair before it, on the side the walk from s = 0 comes from
+            near = np.arange(*np.searchsorted(s, [sj - 2.0 * slack(sj),
+                                                  sj + 2.0 * slack(sj)]))
+            near = near[np.abs(s[near] - sj) <= slack(s[near])]
+            k = j if sj > 0.0 else j + 1
+            lam[near] = c[k] + sig[k] * (leg.join[par[k], e[j]] + leg.A[par[k], e[j]]
+                                         * math.log(_POLE_OFF / leg.cut_dist[e[j]]))
+            on.extend(near.tolist())
+        return lam, sorted(on)
 
-        for j in range(a.size):
-            lo, hi = min(a[j], b[j]), max(a[j], b[j])
-            dirj = 1.0 if b[j] >= a[j] else -1.0
-            # event positions carry arc-table error near the quadrature
-            # tolerance, so hits are matched loosely; a sample this close
-            # to a contact gets the approach-value convention anyway
-            at_a = np.abs(spiral_s - a[j]) <= 1e-9 * (1.0 + abs(a[j]))
-            at_b = np.abs(spiral_s - b[j]) <= 1e-9 * (1.0 + abs(b[j]))
-            ins = (spiral_s > lo) & (spiral_s < hi) & ~at_a & ~at_b
-            if int(at_a.sum() + at_b.sum() + ins.sum()) > 1:
-                raise ValueError(
-                    "sample spacing too coarse: multiple spiral contacts "
-                    "inside one step"
-                )
-            if at_b.any():
-                # sample sits on the contact: report the finite approach
-                # value a hair before it
-                k = int(np.flatnonzero(at_b)[0])
-                star = float(spiral_s[k])
-                tgt[j] = star - _POLE_CUT * dirj
-                extra[j] += residue(k) * math.log(_POLE_OFF / _POLE_CUT)
-                spiral_note.append(int(spans[j][2]))
-            elif at_a.any():
-                # previous sample sat on the contact: resume from its
-                # approach point and mirror the target onto this side
-                # (the crossing itself cancels by odd symmetry)
-                k = int(np.flatnonzero(at_a)[0])
-                star = float(spiral_s[k])
-                a[j] = star - _POLE_CUT * dirj
-                extra[j] += residue(k) * math.log(_POLE_CUT / _POLE_OFF)
-                mirror = 2.0 * star - b[j]
-                gap = abs(mirror - star)
-                if gap < _POLE_CUT:
-                    tgt[j] = star - _POLE_CUT * dirj
-                    extra[j] += residue(k) * math.log(gap / _POLE_CUT)
-                else:
-                    tgt[j] = mirror
-            elif ins.any():
-                k = int(np.flatnonzero(ins)[0])
-                star = float(spiral_s[k])
-                mirror = 2.0 * star - b[j]
-                gap = abs(mirror - star)
-                if gap < _POLE_CUT:
-                    tgt[j] = star - _POLE_CUT * dirj
-                    extra[j] += residue(k) * math.log(gap / _POLE_CUT)
-                else:
-                    tgt[j] = mirror
 
-        tol = max(cfg.quad_tol * 1e-2 / max(a.size, 1) ** 0.5, 1e-14)
-        deltas = gauss_batch(self.rate_of_s, a, tgt, tol) + extra
-
-        # accumulate along each walk
-        acc = {}
-        prev_val = {1: cfg.lambda0, -1: cfg.lambda0}
-        for j, (pa, pb, i) in enumerate(spans):
-            side = 1 if pb > 0 else -1
-            val = prev_val[side] + float(deltas[j])
-            prev_val[side] = val
-            acc[i] = val
-        for i, v in acc.items():
-            lam[i] = v
-        self._spiral_samples = spiral_note
-        return lam
+def _widest(ivs):
+    """The default interval: the widest, and of near-equal widths (a
+    double root halving a band, where rounding would decide) the highest."""
+    if not ivs:
+        raise ValueError("law admits no motion: P(z) <= 0 everywhere")
+    top = max(iv.width for iv in ivs)
+    return max((iv for iv in ivs if iv.width >= top * (1.0 - 1e-12)),
+               key=lambda iv: iv.z_lo)
 
 
 def _pick_interval(K: MomentumLaw, interval):
-    if interval is not None:
-        return interval
-    ivs = admissible_intervals(K)
-    if not ivs:
-        raise ValueError("law admits no motion: P(z) <= 0 everywhere")
-    return max(ivs, key=lambda iv: iv.width)
+    return interval if interval is not None else _widest(admissible_intervals(K))
 
 
 def arc_length_of_z(K: MomentumLaw, z_from: float, z_to: float,
@@ -635,16 +627,13 @@ def z_of_s(K: MomentumLaw, s, interval: Optional[AdmissibleInterval] = None,
     rate sign dz_sign0.  Values beyond a truncating domain edge are held
     at the edge height.
     """
+    if dz_sign0 not in (1, -1) or not (math.isfinite(quad_tol) and quad_tol > 0.0):
+        raise ValueError("dz_sign0 must be +1 or -1 and quad_tol positive")
     s = np.asarray(s, dtype=float)
     iv = _pick_interval(K, interval)
-    span = 2.0 * float(np.max(np.abs(s))) if s.size else 1.0
-    cfg = ReconstructionConfig(
-        s_span=max(span, 1e-6), n_samples=16, quad_tol=quad_tol,
-        z0=z0, dz_sign0=dz_sign0,
-    )
-    motion = _Motion(K, iv, cfg)
-    z, _, _ = motion.state_of_s(s)
-    return z
+    half = float(np.max(np.abs(s))) if s.size else 0.5
+    motion = _Motion(K, iv, max(half, 5e-7), quad_tol, z0, dz_sign0)
+    return motion.leg.z_of_t(motion.leg.t_of_s(motion._fold(motion.S0 + motion.d0 * s)))
 
 
 def longitude_of_s(K: MomentumLaw, s, z, lambda0: float = 0.0) -> np.ndarray:
@@ -719,7 +708,9 @@ def reconstruct(K: MomentumLaw, config: ReconstructionConfig,
     events and period.
     """
     iv = _pick_interval(K, interval)
-    motion = _Motion(K, iv, config)
+    half = 0.5 * config.s_span
+    motion = _Motion(K, iv, half, config.quad_tol, config.z0, config.dz_sign0)
+    motion._build_events(half, config.n_samples)
 
     s_all = np.linspace(-0.5 * config.s_span, 0.5 * config.s_span,
                         config.n_samples)
@@ -729,8 +720,9 @@ def reconstruct(K: MomentumLaw, config: ReconstructionConfig,
     truncated_lo = bool((~keep)[: np.argmax(keep)].any()) if keep.any() else True
     truncated_hi = bool((~keep)[np.argmax(keep):].any()) if keep.any() else True
 
-    z, phi, dz = motion.state_of_s(s)
-    lam = motion.longitude(s)
+    t, seg, z, phi = motion.state_of_s(s)
+    lam, spiral_samples = motion.longitude(s, t, seg, config.lambda0)
+    dz = motion.seg_dz[seg]
 
     if config.lambda_cap is not None:
         over = np.abs(lam - config.lambda0) > config.lambda_cap
@@ -765,7 +757,12 @@ def reconstruct(K: MomentumLaw, config: ReconstructionConfig,
         ],
         "s_attainable": (motion.s_att_lo, motion.s_att_hi),
         "truncated": {"lo": truncated_lo, "hi": truncated_hi},
-        "spiral_samples": sorted(getattr(motion, "_spiral_samples", [])),
+        "spiral_samples": spiral_samples,
         "dz_sign": dz,
+        # work counters: table panels and longitude-rate evaluations do
+        # not grow with n_samples; Newton iterations of the z(s) inversion
+        "stats": {"leg_panels": motion.leg.tl.size - 1,
+                  "newton_iters_max": motion.leg.newton_iters_max,
+                  "rate_points": motion.leg.rate_points},
     }
     return CurveTrace(s=s, z=zc, phi=phi, lam=lam, xi=xi, meta=meta)

@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, CSV and JSON output."""
 
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,6 +173,21 @@ class TestCompare:
         data = np.loadtxt(_lines(f)[1:], delimiter=",")
         s = np.linspace(-2.0, 2.0, 201)
         assert np.array_equal(data[:, 0], s)
+
+    def test_block_writer_matches_per_field_format(self):
+        # the block row format must give the bytes of %.17g per field,
+        # signed zero, non-finite values and subnormal scales included
+        vals = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300,
+                         5e-324, 1.0 / 3.0, -2.5e17, 123456789.125, np.pi])
+        n = 4096 + 7  # crosses a block boundary
+        cols = np.resize(vals, (7, n)) * np.where(np.arange(n) % 3 == 0, 1.0, -1.0)
+        trace = SimpleNamespace(s=cols[0], z=cols[1], phi=cols[2], lam=cols[3],
+                                xi=cols[4:].T)
+        out = io.StringIO()
+        cli._write_csv(trace, out)
+        want = CSV_HEADER + "\n" + "".join(
+            ",".join("%.17g" % v for v in cols[:, i]) + "\n" for i in range(n))
+        assert out.getvalue() == want
 
     def test_missing_file(self, tmp_path, capsys):
         f = self._sample(tmp_path, "a.csv", 0.3)

@@ -1,10 +1,12 @@
 """Reconstruction pipeline: height motion, longitude, gauges, truncation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sphericurve.families import closed_form, family_law
 from sphericurve.laws import (
     admissible_intervals,
     antiderivative,
@@ -19,6 +21,9 @@ from sphericurve.laws import (
 )
 from sphericurve.reconstruct import (
     ReconstructionConfig,
+    _Leg,
+    _pick_interval,
+    _widest,
     arc_length_of_z,
     longitude_of_s,
     reconstruct,
@@ -289,3 +294,101 @@ class TestErrors:
         K = antiderivative(sn_family_law(p))
         with pytest.raises(ValueError):
             reconstruct(K, _cfg(40.0 * complete_K(p), n=16, z0=0.0))
+
+
+class TestLegTable:
+    def test_inversion_needs_few_newton_steps(self):
+        # a Newton step landing on a panel end is accepted, not bisected
+        rng = np.random.default_rng(3)
+        for name, p in (("seiffert", 0.7), ("sn-family", 0.999)):
+            K = family_law(name, {"p": p})
+            iv = admissible_intervals(K, with_period=False)[0]
+            leg = _Leg(K, iv, 1e-10, 0.0, need_arc=4.0)
+            tau = rng.uniform(0.0, leg.total, 26000)
+            t = leg.t_of_s(tau)
+            assert leg.newton_iters_max <= 8, name
+            assert np.max(np.abs(leg.s_of_t(t) - tau)) <= 1e-13, name
+
+    def test_longitude_carries_no_inversion_error(self):
+        # Seiffert's longitude rate is the constant p, so lambda - lambda0
+        # is p s exactly: reading the longitude at the t inverted from the
+        # Hermite arc table must not add that table's interpolation error
+        p = 0.7
+        K = family_law("seiffert", {"p": p})
+        tr = reconstruct(K, _cfg(4.0 * complete_K(p), n=1601, z0=0.0,
+                                 dz_sign0=-1))
+        assert np.max(np.abs(tr.lam - p * tr.s)) < 1e-13
+
+    def test_work_counters_do_not_grow_with_samples(self):
+        # O(table) + O(n): the table and its rate evaluations depend on
+        # the window, not on how densely it is sampled
+        K = family_law("seiffert", {"p": 0.7})
+        a, b = (reconstruct(K, _cfg(200.0, n=n, z0=0.0, dz_sign0=-1)).meta["stats"]
+                for n in (1201, 40001))
+        assert a["leg_panels"] == b["leg_panels"] > 0
+        assert a["rate_points"] == b["rate_points"] > 0
+        assert max(a["newton_iters_max"], b["newton_iters_max"]) <= 8
+
+
+class TestWholeLegs:
+    """Windows spanning many legs, against the acceptance bounds."""
+
+    def test_viviani_many_pole_passages(self):
+        K = family_law("viviani")
+        iv = admissible_intervals(K)[0]
+        tr = reconstruct(K, _cfg(200.0, n=40001, z0=0.0), interval=iv)
+        assert len(tr.meta["events"]) == 52
+        sheets = np.floor(tr.phi / np.pi + 0.5).astype(int)
+        assert set(sheets % 2) == {0, 1}
+        assert np.max(np.abs(tr.phi - tr.lam)) < 1e-6  # criterion 9
+
+    def test_catenary_many_reflections(self):
+        a = 0.3
+        q = math.sqrt(1.0 - 4.0 * a * a)
+        K = family_law("catenary", {"a": a})
+        z0 = math.sqrt(0.5)
+        tr = reconstruct(K, _cfg(200.0, n=40001, z0=z0), interval=_pos_interval(K))
+        assert len(tr.meta["events"]) == 128
+        want = 0.5 * (1.0 + q * np.sin(2.0 * tr.s))
+        assert np.max(np.abs(tr.z ** 2 - want)) < 1e-6  # criterion 7
+
+    def test_sn_family_many_spiral_contacts(self):
+        p = 0.6
+        K = family_law("sn-family", {"p": p})
+        tr = reconstruct(K, _cfg(12.0 * complete_K(p), n=2401, z0=0.0))
+        assert sum(e["spiral"] for e in tr.meta["events"]) == 6
+        _, lam_cf, xi_cf = closed_form("sn-family", {"p": p})(tr.s)
+        ok = np.ones(tr.s.size, dtype=bool)
+        ok[tr.meta["spiral_samples"]] = False
+        # criterion 8
+        assert np.max(np.abs(tr.z[ok] - xi_cf[ok, 2])) < 1e-6
+        assert np.max(np.abs(tr.lam[ok] - lam_cf[ok])) < 1e-5
+
+    def test_seiffert_long_window(self):
+        p = 0.7
+        K0 = complete_K(p)
+        K = family_law("seiffert", {"p": p})
+        tr = reconstruct(K, _cfg(500.0, n=100001, z0=0.0, lambda0=p * K0,
+                                 dz_sign0=-1))
+        _, lam_cf, xi_cf = closed_form("seiffert", {"p": p})(tr.s + K0)
+        # criterion 3
+        assert np.max(np.abs(tr.z - xi_cf[:, 2])) < 1e-6
+        assert np.max(np.abs(tr.lam - lam_cf)) < 1e-6
+
+
+class TestDefaultInterval:
+    def test_double_root_tie_is_not_decided_by_rounding(self):
+        # the halves a double root at z = 0 splits off have equal widths
+        # up to rounding; the pick must not move with the root
+        for K in (family_law("borderline", {"a": 1.0}),
+                  antiderivative(linear_elastica_law(1.0, 0.0), -1.0)):
+            lo, hi = admissible_intervals(K)
+            assert lo.z_hi == pytest.approx(0.0, abs=1e-12)
+            for d in (-4e-15, 0.0, 4e-15):
+                got = _widest([dataclasses.replace(lo, z_hi=lo.z_hi + d),
+                               dataclasses.replace(hi, z_lo=hi.z_lo + d)])
+                assert got.z_hi == hi.z_hi
+
+    def test_exact_tie_takes_the_highest(self):
+        K = family_law("catenary", {"a": 0.3})
+        assert _pick_interval(K, None) == admissible_intervals(K)[-1]
