@@ -660,7 +660,7 @@ def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
 
     def g(t):
         z = m + r * np.sin(t)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             val = r * np.cos(t) / np.sqrt(np.maximum(K.P(z), 0.0))
         return np.where(np.isfinite(val), val, 0.0)
 

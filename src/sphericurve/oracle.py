@@ -76,41 +76,54 @@ def initial_state(K: MomentumLaw, z0: Optional[float] = None,
 
 
 def _rk4_step(state, h, kfun):
-    """One RK4 step on the 6-vector (xi, T); None when kappa blows up."""
+    """One RK4 step on the 6-vector (xi, T); None when kappa blows up.
 
-    def f(st):
-        x0, x1, x2, t0, t1, t2 = st
-        # stage points sit off the sphere by O(h^2); clamp the height so
-        # a smooth pole crossing is not mistaken for a curvature blow-up
-        k = kfun(min(1.0, max(-1.0, x2)))
-        if not math.isfinite(k):
-            return None
-        c0 = x1 * t2 - x2 * t1
-        c1 = x2 * t0 - x0 * t2
-        c2 = x0 * t1 - x1 * t0
-        return (t0, t1, t2, -x0 + k * c0, -x1 + k * c1, -x2 + k * c2)
-
-    k1 = f(state)
-    if k1 is None:
+    Straight-line form of the stage map (xi, T) -> (T, -xi + kappa xi x T)
+    in its plain floating-point order: hoisting 0.5*h and h/6 changes no
+    bit.  Stage points sit off the sphere by O(h^2), so the height is
+    clamped to [-1, 1] (NaN to -1, as min/max would) lest a smooth pole
+    crossing be mistaken for a curvature blow-up.
+    """
+    x0, x1, x2, t0, t1, t2 = state
+    hh = 0.5 * h
+    k = kfun(x2 if -1.0 <= x2 <= 1.0 else (1.0 if x2 > 1.0 else -1.0))
+    if not math.isfinite(k):
         return None
-    s2 = tuple(state[i] + 0.5 * h * k1[i] for i in range(6))
-    k2 = f(s2)
-    if k2 is None:
+    a0 = -x0 + k * (x1 * t2 - x2 * t1)
+    a1 = -x1 + k * (x2 * t0 - x0 * t2)
+    a2 = -x2 + k * (x0 * t1 - x1 * t0)
+    y0, y1, y2 = x0 + hh * t0, x1 + hh * t1, x2 + hh * t2
+    u0, u1, u2 = t0 + hh * a0, t1 + hh * a1, t2 + hh * a2
+    k = kfun(y2 if -1.0 <= y2 <= 1.0 else (1.0 if y2 > 1.0 else -1.0))
+    if not math.isfinite(k):
         return None
-    s3 = tuple(state[i] + 0.5 * h * k2[i] for i in range(6))
-    k3 = f(s3)
-    if k3 is None:
+    b0 = -y0 + k * (y1 * u2 - y2 * u1)
+    b1 = -y1 + k * (y2 * u0 - y0 * u2)
+    b2 = -y2 + k * (y0 * u1 - y1 * u0)
+    y0, y1, y2 = x0 + hh * u0, x1 + hh * u1, x2 + hh * u2
+    v0, v1, v2 = t0 + hh * b0, t1 + hh * b1, t2 + hh * b2
+    k = kfun(y2 if -1.0 <= y2 <= 1.0 else (1.0 if y2 > 1.0 else -1.0))
+    if not math.isfinite(k):
         return None
-    s4 = tuple(state[i] + h * k3[i] for i in range(6))
-    k4 = f(s4)
-    if k4 is None:
+    c0 = -y0 + k * (y1 * v2 - y2 * v1)
+    c1 = -y1 + k * (y2 * v0 - y0 * v2)
+    c2 = -y2 + k * (y0 * v1 - y1 * v0)
+    y0, y1, y2 = x0 + h * v0, x1 + h * v1, x2 + h * v2
+    w0, w1, w2 = t0 + h * c0, t1 + h * c1, t2 + h * c2
+    k = kfun(y2 if -1.0 <= y2 <= 1.0 else (1.0 if y2 > 1.0 else -1.0))
+    if not math.isfinite(k):
         return None
-    out = tuple(
-        state[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(6)
-    )
+    d0 = -y0 + k * (y1 * w2 - y2 * w1)
+    d1 = -y1 + k * (y2 * w0 - y0 * w2)
+    d2 = -y2 + k * (y0 * w1 - y1 * w0)
+    h6 = h / 6.0
+    x0 = x0 + h6 * (t0 + 2.0 * u0 + 2.0 * v0 + w0)
+    x1 = x1 + h6 * (t1 + 2.0 * u1 + 2.0 * v1 + w1)
+    x2 = x2 + h6 * (t2 + 2.0 * u2 + 2.0 * v2 + w2)
+    t0 = t0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+    t1 = t1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+    t2 = t2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
     # reproject: keep xi on the sphere and T unit and tangent
-    x0, x1, x2, t0, t1, t2 = out
     nx = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     x0, x1, x2 = x0 / nx, x1 / nx, x2 / nx
     dot = x0 * t0 + x1 * t1 + x2 * t2
@@ -127,6 +140,7 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
     Callers wanting oracle-grade accuracy should keep ds at 1e-3 or
     below.  If the curvature law turns non-finite mid-flight the trace
     stops at the last committed sample and meta records where and why.
+    meta["stats"]["rk4_steps"] counts the steps taken, failed ones too.
     """
     if not (math.isfinite(s_span) and s_span > 0.0):
         raise ValueError("s_span must be positive and finite")
@@ -140,8 +154,10 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
               float(init.t[0]), float(init.t[1]), float(init.t[2]))
 
     halt = {"halted": False, "halt_s": None, "halt_reason": None}
+    rk4_steps = 0
 
     def walk(targets):
+        nonlocal rk4_steps
         out = []
         state = state0
         cur = 0.0
@@ -150,12 +166,13 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
             n_sub = max(1, int(math.ceil(abs(seg) / ds - 1e-12)))
             h = seg / n_sub
             failed = False
-            for _ in range(n_sub):
+            for i in range(n_sub):
                 nxt = _rk4_step(state, h, kfun)
                 if nxt is None:
                     failed = True
                     break
                 state = nxt
+            rk4_steps += i + 1
             if failed:
                 halt["halted"] = True
                 halt["halt_s"] = cur
@@ -183,6 +200,7 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
         "ds": ds,
         "principal_phi": True,
         **halt,
+        "stats": {"rk4_steps": rk4_steps},
     }
     return CurveTrace(s=s, z=z, phi=phi, lam=lam, xi=xi, meta=meta)
 

@@ -1,6 +1,7 @@
 """Momentum law algebra: derivatives, admissibility, interval classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sphericurve.laws import (
     sn_family_law,
     viviani_law,
 )
-from sphericurve.families import closed_form
+from sphericurve.families import closed_form, family_law
 from sphericurve.oracle import frenet_integrate, initial_state
 from sphericurve.reconstruct import ReconstructionConfig, reconstruct
 
@@ -193,6 +194,15 @@ class TestAdmissibleIntervals:
         assert iv.lo_kind == POLE_PASSAGE and iv.hi_kind == POLE_PASSAGE
         assert iv.z_lo == pytest.approx(-1.0, abs=1e-12)
         assert iv.z_hi == pytest.approx(1.0, abs=1e-12)
+
+    def test_sn_near_one_period_without_warning(self):
+        # the period integrand divides by sqrt(P) = 0 at some nodes and maps
+        # the inf to 0 on purpose; that must not warn, nor move the period
+        K = family_law("sn-family", {"p": 0.999})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (iv,) = admissible_intervals(K)
+        assert float(iv.period_s).hex() == "0x1.1fb7d8ecba377p+4"
 
     def test_viviani_P_closed_form(self):
         n = 1.0
