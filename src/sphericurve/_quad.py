@@ -4,7 +4,8 @@ The error estimate on a panel is |GL15 - GL7|; a panel is accepted when
 that is below the local tolerance and split otherwise.  The batched
 variant drives many panels at once through vectorized integrand calls.
 Cumulative tables built from these panels are read between their nodes
-by cubic Hermite interpolation or through the Gauss polynomial (_INT15).
+through the Gauss polynomial (_INT15), and inverted through interpolants
+at Chebyshev points (_CHEB, _CHEB_LEG).
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ _INT15 = np.polynomial.legendre.legint(
     (np.arange(15) + 0.5)[:, None]
     * np.polynomial.legendre.legvander(_X15, 14).T * _W15, lbnd=-1)
 _INT15_MID = np.polynomial.legendre.legvander(0.0, 15)[0]
+# Legendre coefficients of the derivative: c @ _LEG_D.T, degree 15 to 14
+_LEG_D = np.polynomial.legendre.legder(np.eye(16))
+# Chebyshev points of the second kind on [-1, 1], ascending (the middle one
+# exactly 0), and the matrix taking values there to the Legendre
+# coefficients of their interpolant
+_CHEB = np.sin(np.pi * np.arange(-8, 9) / 16.0)
+_CHEB_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_CHEB, 16))
 
 _MAX_DEPTH = 48
 
@@ -40,6 +48,15 @@ def _noise_floor(half, y15):
     return 4e-15 * np.abs(half) * (np.abs(y15) @ _W15) + 2e-12 * spread
 
 
+def legval_rows(c, x):
+    """Legendre series at x, with its own coefficients per point: column j
+    of c (degree along axis 0) belongs to x[j].  Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for k in range(c.shape[0] - 1, -1, -1):
+        b1, b2 = c[k] + ((2 * k + 1) / (k + 1)) * x * b1 - ((k + 1) / (k + 2)) * b2, b1
+    return b1
+
+
 def hermite(x, h, y0, d0, y1, d1):
     """Cubic Hermite at local x in [0, 1] of a panel of width h.
 
@@ -53,7 +70,9 @@ def hermite(x, h, y0, d0, y1, d1):
 
 
 def gauss_adaptive(f, a: float, b: float, tol: float) -> float:
-    """Integrate a vectorized callable f over [a, b] to absolute tolerance."""
+    """Integrate over [a, b] to absolute tolerance a vectorized f returning
+    the integrand and each value's roundoff share; a panel whose |GL15 -
+    GL7| that roundoff can explain is accepted."""
     if a == b:
         return 0.0
     total = 0.0
@@ -62,12 +81,13 @@ def gauss_adaptive(f, a: float, b: float, tol: float) -> float:
         lo, hi, t, depth = stack.pop()
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        y7 = f(mid + half * _X7)
-        y15 = f(mid + half * _X15)
+        y7 = f(mid + half * _X7)[0]
+        y15, share = f(mid + half * _X15)
         i7 = half * float(np.dot(_W7, y7))
         i15 = half * float(np.dot(_W15, y15))
         err = abs(i15 - i7)
-        noise = _noise_floor(half, y15)
+        noise = max(_noise_floor(half, y15),
+                    4.0 * abs(half) * float(np.dot(_W15, np.abs(y15) * share)))
         if err <= t or (math.isfinite(err) and err <= noise) or depth >= _MAX_DEPTH:
             total += i15
         else:

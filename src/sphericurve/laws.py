@@ -654,18 +654,42 @@ def _scan_piece(K: MomentumLaw, plo: float, phi_: float, n_grid: int):
     return out
 
 
-def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
+def _spiral_ends(K: MomentumLaw, iv: AdmissibleInterval):
+    """Whether the (lo, hi) ends of iv are pole contacts where the longitude
+    diverges, as kappa does (a 1/sqrt-or-worse blowup jumps ~1e3 in probes)."""
+    def spirals(pole):
+        k_in, k_near = K.deriv(pole * (1.0 - 1e-3)), K.deriv(pole * (1.0 - 1e-9))
+        return not math.isfinite(k_near) or abs(k_near) > 1e2 * (1.0 + abs(k_in))
+    return (iv.lo_kind == POLE_PASSAGE and spirals(-1.0),
+            iv.hi_kind == POLE_PASSAGE and spirals(1.0))
+
+
+def _arc_rate(K: MomentumLaw, iv: AdmissibleInterval, t, spiral: bool):
+    """The arc integrand ds/dt = r cos t / sqrt(P) at z = m + r sin t over
+    iv, the share of P that is roundoff, z, and cos^2(phi) = 1 - z^2 (from
+    the half-angle form of 1 -+ sin t, relative accurate next to a pole).
+    With spiral (an end of iv is a spiral contact, where K ~ cos(phi)) K is
+    computed from z and that cos(phi), so P = cos^2 - K^2 keeps its accuracy."""
     m = 0.5 * (iv.z_lo + iv.z_hi)
     r = 0.5 * (iv.z_hi - iv.z_lo)
+    q = 0.25 * np.pi - 0.5 * t
+    omz = r * (2.0 * np.sin(q) ** 2) + (1.0 - m - r)
+    opz = r * (2.0 * np.cos(q) ** 2) + (1.0 + m - r)
+    z = m + r * np.sin(t)
+    w2 = omz * opz
+    noise = 5e-16 * w2 if spiral else 5e-16
+    with np.errstate(invalid="ignore", divide="ignore"):
+        Kv = K.law._K(z, np.sqrt(w2), K.c) if spiral else K.value(z)
+        # P carries this roundoff from the K^2 cancellation; flooring
+        # there keeps g bounded near the roots
+        P = np.maximum(w2 - Kv * Kv, noise)
+        return r * np.cos(t) / np.sqrt(P), np.minimum(0.5 * noise / P, 1.0), z, w2
 
-    def g(t):
-        z = m + r * np.sin(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = r * np.cos(t) / np.sqrt(np.maximum(K.P(z), 0.0))
-        return np.where(np.isfinite(val), val, 0.0)
 
-    half = gauss_adaptive(g, -math.pi / 2.0, math.pi / 2.0, 1e-12)
-    return 2.0 * half
+def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
+    spiral = any(_spiral_ends(K, iv))
+    return 2.0 * gauss_adaptive(lambda t: _arc_rate(K, iv, t, spiral)[:2],
+                                -math.pi / 2.0, math.pi / 2.0, 1e-12)
 
 
 def admissible_intervals(K: MomentumLaw, n_grid: int = 4096,

@@ -139,7 +139,8 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
     ds bounds the RK4 substep; samples land exactly on their grid points.
     Callers wanting oracle-grade accuracy should keep ds at 1e-3 or
     below.  If the curvature law turns non-finite mid-flight the trace
-    stops at the last committed sample and meta records where and why.
+    stops at the last committed sample and meta records where and why
+    (halts: each half-walk's, "lo" toward negative s; halt_s: the last).
     meta["stats"]["rk4_steps"] counts the steps taken, failed ones too.
     """
     if not (math.isfinite(s_span) and s_span > 0.0):
@@ -154,9 +155,10 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
               float(init.t[0]), float(init.t[1]), float(init.t[2]))
 
     halt = {"halted": False, "halt_s": None, "halt_reason": None}
+    halts = {"lo": None, "hi": None}
     rk4_steps = 0
 
-    def walk(targets):
+    def walk(targets, side):
         nonlocal rk4_steps
         out = []
         state = state0
@@ -175,15 +177,15 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
             rk4_steps += i + 1
             if failed:
                 halt["halted"] = True
-                halt["halt_s"] = cur
+                halt["halt_s"] = halts[side] = cur
                 halt["halt_reason"] = "curvature law returned a non-finite value"
                 break
             cur = st
             out.append((st, state))
         return out
 
-    pos = walk([float(v) for v in grid[grid > 0.0]])
-    neg = walk([float(v) for v in grid[grid < 0.0][::-1]])
+    pos = walk([float(v) for v in grid[grid > 0.0]], "hi")
+    neg = walk([float(v) for v in grid[grid < 0.0][::-1]], "lo")
     rows = neg[::-1]
     if np.any(grid == 0.0):
         rows = rows + [(0.0, state0)]
@@ -200,6 +202,7 @@ def frenet_integrate(law: CurvatureLaw, init: FrenetState, s_span: float,
         "ds": ds,
         "principal_phi": True,
         **halt,
+        "halts": halts,
         "stats": {"rk4_steps": rk4_steps},
     }
     return CurveTrace(s=s, z=z, phi=phi, lam=lam, xi=xi, meta=meta)

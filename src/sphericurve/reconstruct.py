@@ -25,14 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (_INT15, _INT15_MID, _W7, _W15, _X7, _X15,
-                    gauss_adaptive, hermite)
+from ._quad import (_CHEB, _CHEB_LEG, _INT15, _INT15_MID, _LEG_D, _W7, _W15,
+                    _X7, _X15, gauss_adaptive, legval_rows)
 from .laws import (
     _POLE_MOMENTUM_TOL,
     OPEN_BOUNDARY,
     POLE_PASSAGE,
     AdmissibleInterval,
     MomentumLaw,
+    _arc_rate,
+    _spiral_ends,
     admissible_intervals,
 )
 
@@ -108,23 +110,16 @@ def _phi_extended(sheet: np.ndarray, z: np.ndarray) -> np.ndarray:
     return sheet * np.pi + sgn * np.arcsin(np.clip(z, -1.0, 1.0))
 
 
-def _spirals(K: MomentumLaw, z_pole: float) -> bool:
-    """Whether the longitude diverges at a pole contact at z_pole (iff kappa
-    does: a 1/sqrt-or-worse blowup shows as a ~1e3 jump between probes)."""
-    k_in = K.deriv(z_pole * (1.0 - 1e-3))
-    k_near = K.deriv(z_pole * (1.0 - 1e-9))
-    return not math.isfinite(k_near) or abs(k_near) > 1e2 * (1.0 + abs(k_in))
-
-
 class _Leg:
     """Cumulative arc and longitude table over one admissible interval.
 
-    Over t: the arc s(t) = int g dt, g = ds/dt, cubic Hermite between the
-    nodes t; per sheet parity p the longitude Lam_p(t) = int rate_p g dt
-    (rate_p: the rate where cos(phi) has sign (-1)^p), between the nodes
-    tl the integral of the polynomial through each panel's Gauss values.
-    At a spiraling pole contact the longitude stops _POLE_CUT of arc short
-    of the end, continuing as A log(distance) with A read off the cut.
+    Over t: the arc s(t) = int g dt, g = ds/dt, and per sheet parity p the
+    longitude Lam_p(t) = int rate_p g dt (rate_p: the rate where cos(phi)
+    has sign (-1)^p), between the nodes t the integrals of the polynomial
+    through each panel's Gauss values; the inverse t(s), per panel, the
+    interpolant of that arc polynomial's inverse, built once.  At a
+    spiraling pole contact the longitude stops _POLE_CUT of arc short of
+    the end, continuing as A log(distance) with A read off the cut.
     """
 
     def __init__(self, K: MomentumLaw, iv: AdmissibleInterval,
@@ -137,8 +132,9 @@ class _Leg:
                         and K.P(iv.z_lo) <= _ASYMPTOTE_P_TOL)
         self.asym_hi = (iv.hi_kind == OPEN_BOUNDARY
                         and K.P(iv.z_hi) <= _ASYMPTOTE_P_TOL)
-        self.spiral = (iv.lo_kind == POLE_PASSAGE and _spirals(K, -1.0),
-                       iv.hi_kind == POLE_PASSAGE and _spirals(K, 1.0))
+        self.spiral = _spiral_ends(K, iv)
+        self.trunc = (iv.lo_kind == OPEN_BOUNDARY and not self.asym_lo,
+                      iv.hi_kind == OPEN_BOUNDARY and not self.asym_hi)
         # odd sheets (cos(phi) < 0) are only reached through a pole
         # passage, and need a column of their own only where the rate
         # depends on the sign of cos(phi)
@@ -152,109 +148,62 @@ class _Leg:
         nodes = list(np.linspace(t_lo, t_hi, 65))
         # rough extension toward excluded double-root ends until the table
         # spans need_arc of arc on each side of t0
-        if self.asym_lo:
-            nodes = self._extend(nodes, t0, need_arc, low=True)
-        if self.asym_hi:
-            nodes = self._extend(nodes, t0, need_arc, low=False)
-        # longitude cuts at spiral ends, where s is linear in t to O(cut^3)
+        for low, asym in ((True, self.asym_lo), (False, self.asym_hi)):
+            if asym:
+                self._extend(nodes, t0, need_arc, low)
+        # longitude cuts at spiral ends, where s ~ sqrt(2 r / |P'|) t to O(cut^3)
         self.cut = [-math.inf, math.inf]
-        if self.spiral[0]:
-            self.cut[0] = -half_pi + _POLE_CUT / self._g_limit(-1.0, POLE_PASSAGE)
-        if self.spiral[1]:
-            self.cut[1] = half_pi - _POLE_CUT / self._g_limit(1.0, POLE_PASSAGE)
+        for e, pole in ((0, -1.0), (1, 1.0)):
+            if self.spiral[e]:
+                g_end = math.sqrt(2.0 * self.r / max(abs(K.dP(pole)), 1e-12))
+                self.cut[e] = pole * (half_pi - _POLE_CUT / g_end)
 
         self._refine(np.asarray(nodes), max(quad_tol / 64.0, 1e-14), t0)
         self.total = float(self.s[-1])
+        self._invert()
         self._ends()
-
-    # -- integrands --------------------------------------------------------
-
-    def _g_and_p(self, t):
-        """ds/dt, the share of P that is roundoff, z and 1 - z^2 at t; the
-        exact half-angle form of 1 -+ sin t keeps 1 -+ z, and with it
-        cos^2(phi) = 1 - z^2, relative accurate next to a pole."""
-        q = 0.25 * np.pi - 0.5 * t
-        omz = self.r * (2.0 * np.sin(q) ** 2) + (1.0 - self.m - self.r)
-        opz = self.r * (2.0 * np.cos(q) ** 2) + (1.0 + self.m - self.r)
-        z = self.m + self.r * np.sin(t)
-        w2 = omz * opz
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if any(self.spiral):
-                # K ~ cos(phi) at a spiral contact: taken from that cos(phi),
-                # P = cos^2 - K^2 keeps its accuracy relative to cos^2
-                Kv = self.K.momentum_phi(np.arctan2(z, np.sqrt(w2)))
-                noise = 5e-16 * w2
-            else:
-                Kv = self.K.value(z)
-                noise = 5e-16
-            # P carries this roundoff from the K^2 cancellation; flooring
-            # there keeps g bounded near the roots
-            P = np.maximum(w2 - Kv * Kv, noise)
-            return (self.r * np.cos(t) / np.sqrt(P),
-                    np.minimum(0.5 * noise / P, 1.0), z, w2)
-
-    def _columns(self, t):
-        """g, the longitude rate per parity (rows) and P's noise share."""
-        g, frac, z, w2 = self._g_and_p(t)
-        # latitude from the cancellation-free cos: 1/cos(phi) in a rate
-        # then keeps its relative accuracy next to a pole
-        phi = np.arctan2(z, np.sqrt(w2))
-        if self.parities == 2:
-            phi = np.concatenate([phi, np.pi - phi])
-        self.rate_points += phi.size
-        return g, self.K.lambda_rate_phi(phi).reshape(self.parities, -1), frac
-
-    def _g_limit(self, z_end: float, kind: str) -> float:
-        if kind == OPEN_BOUNDARY:
-            return 0.0
-        d = abs(self.K.dP(z_end))
-        return math.sqrt(2.0 * self.r / max(d, 1e-12))
-
-    def _g_at_nodes(self, t):
-        g = self._g_and_p(t)[0]
-        half_pi = math.pi / 2.0
-        g = np.where(t == -half_pi, self._g_limit(self.iv.z_lo, self.iv.lo_kind), g)
-        g = np.where(t == half_pi, self._g_limit(self.iv.z_hi, self.iv.hi_kind), g)
-        return g
 
     # -- construction ------------------------------------------------------
 
+    def _columns(self, t):
+        """g, the longitude rate per parity (rows) and P's noise share."""
+        g, frac, z, w2 = _arc_rate(self.K, self.iv, t, any(self.spiral))
+        # latitude from the cancellation-free cos, so 1/cos(phi) in a rate
+        # keeps its relative accuracy next to a pole; pi - phi for the far
+        # sheet would add pi's rounding there, 1e-16 / cos(phi) of one sign
+        w = np.sqrt(w2)
+        phi = np.arctan2(z, w)
+        if self.parities == 2:
+            phi = np.concatenate([phi, np.arctan2(z, -w)])
+        self.rate_points += phi.size
+        return g, self.K.lambda_rate_phi(phi).reshape(self.parities, -1), frac
+
     def _extend(self, nodes, t0, need_arc, low: bool):
-        half_pi = math.pi / 2.0
-        end = -half_pi if low else half_pi
+        end = -math.pi / 2.0 if low else math.pi / 2.0
+
+        def g(t):
+            return _arc_rate(self.K, self.iv, t, any(self.spiral))[0]
+
         # rough arc from t0 to the current inner edge
         probe = np.linspace(nodes[0] if low else nodes[-1], t0, 33)
-        gv = self._g_and_p(probe)[0]
+        gv = g(probe)
         arc = abs(float(np.sum(0.5 * (gv[1:] + gv[:-1]) * np.diff(probe))))
         for _ in range(80):
-            if arc >= need_arc:
-                break
             edge = nodes[0] if low else nodes[-1]
             new_t = 0.5 * (end + edge)
-            if new_t == edge or new_t == end:
+            if arc >= need_arc or new_t in (edge, end):
                 break
-            a, b = (new_t, edge) if low else (edge, new_t)
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            arc += abs(half * float(np.dot(_W7, self._g_and_p(mid + half * _X7)[0])))
-            if low:
-                nodes.insert(0, new_t)
-            else:
-                nodes.append(new_t)
-        return nodes
+            mid, half = 0.5 * (new_t + edge), 0.5 * abs(edge - new_t)
+            arc += abs(half * float(np.dot(_W7, g(mid + half * _X7))))
+            nodes.insert(0 if low else len(nodes), new_t)
 
     def _refine(self, t, tol, t0):
         """Split panels (evaluating only new ones) until every column
-        passes |GL15 - GL7| and its interpolant's left-half value matches
-        the left half's GL15.  The arc keeps each panel where it first
-        passes (splitting on next to a root of P only adds P's roundoff
-        to s), so its nodes t are a subset of the longitude nodes tl; a
-        panel holding a spiral cut is then split on the cut.
-        """
-        g_n = self._g_at_nodes(t)
-        a, b, ga, gb = t[:-1], t[1:], g_n[:-1], g_n[1:]
-        arc_done = np.zeros(a.size, dtype=bool)
-        arc, lon = [], []
+        passes |GL15 - GL7| and its Gauss polynomial's left-half integral
+        matches the left half's GL15; a panel holding a spiral cut is split
+        on the cut."""
+        a, b = t[:-1], t[1:]
+        done = []
         for it in range(41):
             n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
             g, rate, frac = self._columns(np.concatenate([
@@ -272,50 +221,113 @@ class _Leg:
             i15, i7 = half * (y15 @ _W15), half * (y7 @ _W7)
             i15l = 0.5 * half * (y15l @ _W15)
             coef = y15 @ _INT15.T
-            pred = np.vstack([0.5 * i15[0] + (b - a) * (ga - gb) / 8.0,
-                              half * (coef[1:] @ _INT15_MID)])
+            err = np.abs(i15 - i7)
             # refinement cannot resolve below the roundoff carried by P;
             # estimate that noise per panel and accept once it dominates
             tol_eff = np.maximum(tol, 4.0 * np.abs(half) * (
                 (np.abs(y15) * frac[:15 * n].reshape(n, 15)) @ _W15))
-            miss = (np.abs(i15 - i7) > tol_eff) | (np.abs(pred - i15l) > tol_eff)
+            miss = (err > tol_eff) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol_eff)
             on_lo = (a < self.cut[0]) & (self.cut[0] < b)
             on_hi = (a < self.cut[1]) & (self.cut[1] < b)
-            wide = ((b - a) > 1e-6) & (it < 40)
-            bad_arc = miss[0] & ~arc_done & wide
-            split = bad_arc | (miss[1:].any(axis=0) & live & wide) | on_lo | on_hi
-            new = ~arc_done & ~bad_arc
-            arc.append((a[new], ga[new], i15[0, new], coef[0, new]))
-            lon.append((a[~split], coef[1:, ~split], i15[:, ~split]))
+            split = (miss.any(axis=0) & ((b - a) > 1e-6) & (it < 40)) | on_lo | on_hi
+            done.append((a[~split], coef[:, ~split], i15[:, ~split], err[0, ~split]))
             if not split.any():
                 break
-            at = np.where(bad_arc, mid, np.where(
-                on_lo, self.cut[0], np.where(on_hi, self.cut[1], mid)))[split]
-            arc_done = np.tile((arc_done | ~bad_arc)[split], 2)
-            gm = self._g_at_nodes(at)
+            at = np.where(on_lo, self.cut[0], np.where(on_hi, self.cut[1], mid))[split]
             a, b = np.concatenate([a[split], at]), np.concatenate([at, b[split]])
-            ga, gb = np.concatenate([ga[split], gm]), np.concatenate([gm, gb[split]])
 
-        a, g, ds, coef = (np.concatenate(x) for x in zip(*arc))
-        order = np.argsort(a)
+        a, coef, sums, err = zip(*done)
+        coef, sums = np.concatenate(coef, axis=1), np.concatenate(sums, axis=1)
+        order = np.argsort(a := np.concatenate(a))
         self.t = np.append(a[order], t[-1])
-        self.g = np.append(g[order], g_n[-1])
-        self.s = np.concatenate([[0.0], np.cumsum(ds[order])])
-        self.arc_coef = coef[order]
-        a, coef, sums = zip(*lon)
-        order = np.argsort(np.concatenate(a))
-        self.tl = np.append(np.concatenate(a)[order], t[-1])
-        self.coef = np.concatenate(coef, axis=1)[:, order]
-        ds, *dlam = np.concatenate(sums, axis=1)[:, order]
-        dlam = np.array(dlam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.mean_rate = np.where(ds > 0.0, dlam / ds, 0.0)
+        self.arc_err = np.concatenate(err)[order]
+        # degree first, so a gather per sample reads contiguous rows
+        self.arc_coef = coef[0, order]
+        self.coef = coef[1:, order].transpose(2, 0, 1).copy()
+        ds, dlam = sums[0, order], sums[1:, order]
+        self.s = np.concatenate([[0.0], np.cumsum(ds)])
         # summed outward from the gauge point's node, so values near the
         # window stay small and carry a small rounding error
-        k = int(np.searchsorted(self.tl, t0))
+        k = int(np.searchsorted(self.t, t0))
         self.lam = np.concatenate([
             -np.cumsum(dlam[:, :k][:, ::-1], axis=1)[:, ::-1],
             np.zeros((self.parities, 1)), np.cumsum(dlam[:, k:], axis=1)], axis=1)
+
+    def _zeta(self, tau, inverse=False):
+        """The coordinate the inverse is interpolated in: tau, or next to a
+        truncating end (open, not asymptotic: ds/dt = 0, t analytic in the
+        root of the arc distance) sqrt(tau) and/or -sqrt(total - tau)."""
+        S, (lo, hi) = self.total, self.trunc
+        if not inverse:
+            return ((np.sqrt(tau) if lo else 0.0 if hi else tau)
+                    - (np.sqrt(S - tau) if hi else 0.0))
+        if lo and hi:  # zeta = a - b with a^2 + b^2 = S
+            return (0.5 * (tau + np.sqrt(2.0 * S - tau * tau))) ** 2
+        return tau * tau if lo else S - tau * tau if hi else tau
+
+    def _invert(self):
+        """Per inverse panel i (zeta in [iz[i], iz[i+1]], in arc panel ij[i]):
+        inv_coef[:, i], Legendre coefficients of the interpolant at Chebyshev
+        points in zeta of the local t (in [-1, 1]) where that arc polynomial
+        takes the arc; halved while its tail times max ds/dt exceeds roundoff."""
+        zeta = self._zeta(self.s)
+        # no finer than roundoff, nor than the arc panel's own accuracy
+        tol = np.maximum(4e-15 * (1.0 + self.total), self.arc_err)
+        j, done = np.arange(self.t.size - 1), []
+        za, zb, ya, yb = zeta[:-1], zeta[1:], -np.ones(j.size), np.ones(j.size)
+        for level in range(9):
+            y, slope = self._solve(j, za, zb)
+            coef = _CHEB_LEG @ np.column_stack([ya, y, yb]).T
+            bad = (np.abs(coef[-2:]).max(axis=0) * slope > tol[j]) & (level < 8)
+            done.append((za[~bad], j[~bad], coef[:, ~bad]))
+            if not bad.any():
+                break
+            zm, ym = 0.5 * (za + zb)[bad], y[bad, 7]  # at _CHEB[8] = 0
+            j = np.tile(j[bad], 2)
+            za, zb = np.concatenate([za[bad], zm]), np.concatenate([zm, zb[bad]])
+            ya, yb = np.concatenate([ya[bad], ym]), np.concatenate([ym, yb[bad]])
+        za, j, coef = (np.concatenate(v, axis=-1) for v in zip(*done))
+        order = np.argsort(za)
+        self.iz, self.ij = np.append(za[order], zeta[-1]), j[order]
+        self.inv_coef = coef[:, order]
+
+    def _solve(self, j, za, zb):
+        """Local t (in [-1, 1]) where arc panel j[k]'s polynomial, s = s_j +
+        h/2 F_j(t), takes the arc at the inner Chebyshev points of zeta in
+        [za[k], zb[k]] (safeguarded Newton), and the largest ds/dt there."""
+        legvander = np.polynomial.legendre.legvander
+        x, n, m = _CHEB[1:-1], j.size, _CHEB.size - 2
+        s0, s1 = self.s[j, None], self.s[j + 1, None]
+        h = (self.t[j + 1] - self.t[j])[:, None]
+        zeta = 0.5 * (za + zb)[:, None] + 0.5 * (zb - za)[:, None] * x
+        target = (np.clip(self._zeta(zeta, inverse=True), s0, s1) - s0) * (2.0 / h)
+        c = self.arc_coef[j]
+        dc = c @ _LEG_D.T
+        # the rounding of the arc and of F's sum (that of t goes with F')
+        tol = np.broadcast_to(1e-16 * (1.0 + s1) * (2.0 / h) + 4e-16
+                              * np.abs(c).sum(axis=1)[:, None], zeta.shape).ravel()
+        target, row, on = target.ravel(), np.repeat(np.arange(n), m), np.arange(n * m)
+        # the guess is the same x on every panel: F is a product there
+        v = legvander(x, 15)
+        y, F, dF = np.tile(x, n), (c @ v.T).ravel(), (dc @ v[:, :15].T).ravel()
+        slope, lo, hi = dF.copy(), -np.ones(n * m), np.ones(n * m)
+        for it in range(41):
+            err = F - target[on]
+            keep = np.abs(err) > tol[on] + 4e-16 * np.abs(dF)
+            on, err, dF, yo = on[keep], err[keep], dF[keep], y[on[keep]]
+            if not on.size:
+                break
+            lo[on] = np.where(err > 0.0, lo[on], yo)
+            hi[on] = np.where(err > 0.0, yo, hi[on])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = yo - err / dF
+            y[on] = np.where((nxt >= lo[on]) & (nxt <= hi[on]),
+                             nxt, 0.5 * (lo[on] + hi[on]))
+            v = legvander(y[on], 15)
+            F = np.einsum("mk,mk->m", v, c[row[on]])
+            slope[on] = dF = np.einsum("mk,mk->m", v[:, :15], dc[row[on]])
+        self.newton_iters_max = max(self.newton_iters_max, it)
+        return y.reshape(n, m), 0.5 * h[:, 0] * np.abs(slope).reshape(n, m).max(axis=1)
 
     def _ends(self):
         """join[p, e]: Lam_p where end e (lo 0, hi 1) joins the next leg,
@@ -323,19 +335,19 @@ class _Leg:
         A[p, e] of rate ~ A / (tau - tau_end) (odd corrections only) is
         read; slope[p, e]: the rate at an asymptotic end, which holds for
         arc past the table, where the height freezes."""
-        idx = [0, self.tl.size - 1]
+        idx = [0, self.t.size - 1]
         self.cut_dist = [0.0, 0.0]
         self.A = np.zeros((self.parities, 2))
         self.slope = np.zeros((self.parities, 2))
         for e, asym, tau_end in ((0, self.asym_lo, 0.0),
                                  (1, self.asym_hi, self.total)):
             if self.spiral[e]:
-                idx[e] = int(np.searchsorted(self.tl, self.cut[e]))
-                off = float(self.s_of_t(self.cut[e])) - tau_end
+                idx[e] = int(np.searchsorted(self.t, self.cut[e]))
+                off = float(self.s_of_t(np.array([self.cut[e]]))[0]) - tau_end
                 self.cut_dist[e] = abs(off)
                 self.A[:, e] = self._columns(np.array([self.cut[e]]))[1][:, 0] * off
             elif asym:
-                self.slope[:, e] = self._columns(self.tl[idx[e]:idx[e] + 1])[1][:, 0]
+                self.slope[:, e] = self._columns(self.t[idx[e]:idx[e] + 1])[1][:, 0]
         self.join = self.lam[:, idx]
 
     # -- evaluation --------------------------------------------------------
@@ -348,21 +360,12 @@ class _Leg:
 
     def s_of_t(self, t):
         i, h, x = self._panel(self.t, np.asarray(t, dtype=float))
-        return hermite(x, h, self.s[i], self.g[i], self.s[i + 1], self.g[i + 1])
+        return self.s[i] + 0.5 * h * legval_rows(self.arc_coef[i].T, 2.0 * x - 1.0)
 
     def lam_of(self, tau, t, p):
         """Lam_p at table positions tau (arc) and t, per-point parity p."""
-        legvander = np.polynomial.legendre.legvander
-        i, h, x = self._panel(self.tl, t)
-        lam = self.lam[p, i] + 0.5 * h * np.einsum(
-            "nk,nk->n", legvander(2.0 * x - 1.0, 15), self.coef[p, i])
-        # t came from the Hermite arc table; the arc's Gauss polynomial
-        # puts it at arc s_t, off tau by the Hermite error, which the
-        # panel's mean rate turns into longitude
-        j, h, x = self._panel(self.t, t)
-        s_t = self.s[j] + 0.5 * h * np.einsum(
-            "nk,nk->n", legvander(2.0 * x - 1.0, 15), self.arc_coef[j])
-        lam += self.mean_rate[p, i] * (np.clip(tau, 0.0, self.total) - s_t)
+        i, h, x = self._panel(self.t, t)
+        lam = self.lam[p, i] + 0.5 * h * legval_rows(self.coef[:, p, i], 2.0 * x - 1.0)
         lam += (self.slope[p, 0] * np.minimum(tau, 0.0)
                 + self.slope[p, 1] * np.maximum(tau - self.total, 0.0))
         for e, dist in ((0, tau), (1, self.total - tau)):
@@ -375,40 +378,10 @@ class _Leg:
 
     def t_of_s(self, tau):
         tau = np.clip(np.asarray(tau, dtype=float), 0.0, self.total)
-        i = np.clip(np.searchsorted(self.s, tau) - 1, 0, self.s.size - 2)
-        lo, hi = t0, t1 = self.t[i], self.t[i + 1]
-        h = t1 - t0
-        s0, s1 = self.s[i], self.s[i + 1]
-        g0, g1 = self.g[i], self.g[i + 1]
-        # start from linear inverse, then safeguarded Newton on the cubic
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cur = np.where(s1 > s0, t0 + h * (tau - s0) / (s1 - s0),
-                           0.5 * (t0 + t1))
-        cur = np.clip(cur, lo, hi)
-        for it in range(80):
-            x = (cur - t0) / h
-            # kept bound: freed at once, it let the allocator return pages
-            # that each iteration then faulted in again (t_of_s 25% slower)
-            val = hermite(x, h, s0, g0, s1, g1)
-            err = val - tau
-            done = np.abs(err) <= 1e-14 * (1.0 + np.abs(tau))
-            if done.all():
-                break
-            high = err > 0.0
-            hi = np.where(high, cur, hi)
-            lo = np.where(high, lo, cur)
-            d00 = (6.0 * x * x - 6.0 * x) / h
-            slope = (d00 * (s0 - s1)
-                     + (3.0 * x * x - 4.0 * x + 1.0) * g0
-                     + (3.0 * x * x - 2.0 * x) * g1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = cur - err / slope
-            # a step onto a bracket end is a good step (the root often
-            # sits on a node); only steps leaving the bracket bisect
-            ok = np.isfinite(nxt) & (nxt >= lo) & (nxt <= hi)
-            cur = np.where(ok, nxt, 0.5 * (lo + hi))
-        self.newton_iters_max = max(self.newton_iters_max, it)
-        return cur
+        i, _, u = self._panel(self.iz, self._zeta(tau))
+        j = self.ij[i]
+        y = legval_rows(self.inv_coef[:, i], 2.0 * u - 1.0)
+        return self.t[j] + 0.5 * (self.t[j + 1] - self.t[j]) * (1.0 + y)
 
     def z_of_t(self, t):
         z = self.m + self.r * np.sin(np.asarray(t, dtype=float))
@@ -582,40 +555,26 @@ def arc_length_of_z(K: MomentumLaw, z_from: float, z_to: float,
     """
     z_from = float(z_from)
     z_to = float(z_to)
-    if interval is None:
-        ivs = admissible_intervals(K, with_period=False)
-        slack = 1e-12
-        cands = [iv for iv in ivs
-                 if iv.contains(z_from, slack) and iv.contains(z_to, slack)]
-        if not cands:
-            raise ValueError(
-                "z_from and z_to must lie in the closure of one admissible "
-                "interval"
-            )
-        interval = cands[0]
-    iv = interval
-    if not (iv.contains(z_from, 1e-12) and iv.contains(z_to, 1e-12)):
+
+    def holds(iv):
+        return iv.contains(z_from, 1e-12) and iv.contains(z_to, 1e-12)
+
+    iv = interval or next(filter(holds, admissible_intervals(K, with_period=False)), None)
+    if iv is None:
+        raise ValueError(
+            "z_from and z_to must lie in the closure of one admissible interval")
+    if not holds(iv):
         raise ValueError("height outside the interval closure")
-    sign = 1.0 if z_to >= z_from else -1.0
-    for z_end in (z_from, z_to):
-        at_lo = abs(z_end - iv.z_lo) <= 1e-12
-        at_hi = abs(z_end - iv.z_hi) <= 1e-12
-        if at_lo and iv.lo_kind == OPEN_BOUNDARY and K.P(iv.z_lo) <= _ASYMPTOTE_P_TOL:
-            return sign * math.inf
-        if at_hi and iv.hi_kind == OPEN_BOUNDARY and K.P(iv.z_hi) <= _ASYMPTOTE_P_TOL:
-            return sign * math.inf
+    for z_end, kind in ((iv.z_lo, iv.lo_kind), (iv.z_hi, iv.hi_kind)):
+        if (kind == OPEN_BOUNDARY and min(abs(z_from - z_end), abs(z_to - z_end)) <= 1e-12
+                and K.P(z_end) <= _ASYMPTOTE_P_TOL):
+            return math.copysign(math.inf, z_to - z_from)
     m = 0.5 * (iv.z_lo + iv.z_hi)
     r = 0.5 * (iv.z_hi - iv.z_lo)
-
-    def g(t):
-        z = m + r * np.sin(t)
-        with np.errstate(invalid="ignore"):
-            P = np.maximum(K.P(z), 1e-300)
-        return r * np.cos(t) / np.sqrt(P)
-
+    spiral = any(_spiral_ends(K, iv))
     t_a = math.asin(min(1.0, max(-1.0, (z_from - m) / r)))
     t_b = math.asin(min(1.0, max(-1.0, (z_to - m) / r)))
-    return gauss_adaptive(g, t_a, t_b, quad_tol)
+    return gauss_adaptive(lambda t: _arc_rate(K, iv, t, spiral)[:2], t_a, t_b, quad_tol)
 
 
 def z_of_s(K: MomentumLaw, s, interval: Optional[AdmissibleInterval] = None,
@@ -661,21 +620,14 @@ def longitude_of_s(K: MomentumLaw, s, z, lambda0: float = 0.0) -> np.ndarray:
                  and abs(K.value(1.0)) <= _POLE_MOMENTUM_TOL)
     contact_s = (K.law.domain[0] <= -1.0
                  and abs(K.value(-1.0)) <= _POLE_MOMENTUM_TOL)
-    sheet = np.zeros(n, dtype=int)
-    mm = 0
-    for i in range(1, n - 1):
-        second = abs(z[i - 1] - 2.0 * z[i] + z[i + 1])
-        if (contact_n and z[i] >= z[i - 1] and z[i] >= z[i + 1]
-                and 1.0 - z[i] <= 4.0 * second + 1e-12):
-            rising = 1.0
-            mm = mm + 1 if ((-1) ** mm) * rising > 0 else mm - 1
-        elif (contact_s and z[i] <= z[i - 1] and z[i] <= z[i + 1]
-                and 1.0 + z[i] <= 4.0 * second + 1e-12):
-            falling = -1.0
-            mm = mm + 1 if ((-1) ** mm) * falling > 0 else mm - 1
-        sheet[i] = mm
-    if n > 1:
-        sheet[-1] = mm
+    # a contact: a height extremum within the stencil's reach of a pole;
+    # there the sheet steps by (-1)^sheet (+1 north, -1 south)
+    zi, near = z[1:-1], 4.0 * np.abs(z[:-2] - 2.0 * z[1:-1] + z[2:]) + 1e-12
+    north = contact_n & (zi >= z[:-2]) & (zi >= z[2:]) & (1.0 - zi <= near)
+    south = contact_s & (zi <= z[:-2]) & (zi <= z[2:]) & (1.0 + zi <= near) & ~north
+    d = north.astype(int) - south
+    sheet = np.cumsum((-1) ** (np.cumsum(d != 0) - (d != 0)) * d)
+    sheet = np.concatenate([[0], sheet, sheet[-1:] if sheet.size else [0]])
     phi = _phi_extended(sheet, z)
     rate = K.lambda_rate_phi(phi)
 
@@ -761,8 +713,9 @@ def reconstruct(K: MomentumLaw, config: ReconstructionConfig,
         "dz_sign": dz,
         # work counters: table panels and longitude-rate evaluations do
         # not grow with n_samples; Newton iterations of the z(s) inversion
-        "stats": {"leg_panels": motion.leg.tl.size - 1,
+        "stats": {"leg_panels": motion.leg.t.size - 1,
                   "newton_iters_max": motion.leg.newton_iters_max,
-                  "rate_points": motion.leg.rate_points},
+                  "rate_points": motion.leg.rate_points,
+                  "arc_err_max": float(motion.leg.arc_err.max())},
     }
     return CurveTrace(s=s, z=zc, phi=phi, lam=lam, xi=xi, meta=meta)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -196,13 +197,22 @@ class TestAdmissibleIntervals:
         assert iv.z_hi == pytest.approx(1.0, abs=1e-12)
 
     def test_sn_near_one_period_without_warning(self):
-        # the period integrand divides by sqrt(P) = 0 at some nodes and maps
-        # the inf to 0 on purpose; that must not warn, nor move the period
-        K = family_law("sn-family", {"p": 0.999})
+        # P vanishes at the poles, where its z-form loses its accuracy; the
+        # period comes out at 4K(p) and without a warning
+        p = 0.999
+        K = family_law("sn-family", {"p": p})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (iv,) = admissible_intervals(K)
-        assert float(iv.period_s).hex() == "0x1.1fb7d8ecba377p+4"
+        want = 4.0 * float(mpmath.ellipk(p * p))
+        assert iv.period_s == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["sn-family", "seiffert"])
+    @pytest.mark.parametrize("p", [0.4, 0.7, 0.9, 0.99, 0.999])
+    def test_period_is_four_K(self, name, p):
+        (iv,) = admissible_intervals(family_law(name, {"p": p}))
+        want = 4.0 * float(mpmath.ellipk(p * p))
+        assert iv.period_s == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_viviani_P_closed_form(self):
         n = 1.0

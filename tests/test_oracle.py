@@ -98,6 +98,22 @@ class TestHalting:
         assert tr.s[-1] <= s_star and s_star - tr.s[-1] < 0.05
         assert tr.s[0] >= -s_star and tr.s[0] + s_star < 0.05
 
+    def test_both_half_walks_report_their_halt(self):
+        # halt_s keeps the last walk's value; halts has one per side
+        K = family_law("loxodrome", {"a": 0.6})
+        tr = frenet_integrate(K.law, initial_state(K, z0=0.0), 6.0, ds=1e-3)
+        halts = tr.meta["halts"]
+        assert halts["lo"] == pytest.approx(-1.962, abs=1e-12)
+        assert halts["hi"] == pytest.approx(1.962, abs=1e-12)
+        assert tr.meta["halt_s"] == halts["lo"]
+        assert halts["lo"] == tr.s[0] and halts["hi"] == tr.s[-1]
+
+    def test_no_halt_on_either_side(self):
+        K = family_law("loxodrome", {"a": 0.6})
+        tr = frenet_integrate(K.law, initial_state(K, z0=0.0), 2.0, ds=1e-3)
+        assert not tr.meta["halted"]
+        assert tr.meta["halts"] == {"lo": None, "hi": None}
+
     def test_validation(self):
         K = family_law("great-circle", {"c": 0.0})
         init = initial_state(K, z0=0.0)

@@ -1,13 +1,19 @@
 """Reconstruction pipeline: height motion, longitude, gauges, truncation."""
 
 import dataclasses
+import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphericurve.families import closed_form, family_law
+from sphericurve._quad import _W7, _W15, _X7, _X15
+from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.laws import (
+    _arc_rate,
     admissible_intervals,
     antiderivative,
     catenary_law,
@@ -38,6 +44,34 @@ def _cfg(span, n=801, **kw):
 
 def _pos_interval(K):
     return [iv for iv in admissible_intervals(K) if iv.z_hi > 0][-1]
+
+
+class _Midpoint:
+    """An rng stand-in drawing the middle of every uniform range."""
+
+    def uniform(self, lo, hi):
+        return 0.5 * (lo + hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look themselves up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _sweep_gauge(name):
+    """The benchmark's sweep case for a family at the middle of its
+    parameter box: law, interval (None: the default) and config."""
+    wl = _workloads()
+    params, span, z0, dz = wl._sweep_case(_Midpoint(), name)
+    K = family_law(name, params)
+    iv = None if z0 is None else next(
+        iv for iv in admissible_intervals(K) if iv.z_lo < z0 < iv.z_hi)
+    return K, iv, _cfg(span, n=wl.SWEEP_N, z0=z0, dz_sign0=dz)
 
 
 class TestHeightClosedForms:
@@ -328,6 +362,46 @@ class TestLegTable:
         assert a["leg_panels"] == b["leg_panels"] > 0
         assert a["rate_points"] == b["rate_points"] > 0
         assert max(a["newton_iters_max"], b["newton_iters_max"]) <= 8
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_panels_at_the_sweep_gauge(self, name):
+        # the arc is read through each panel's own Gauss polynomial, so
+        # short windows stay near the initial 64 panels; a table split by
+        # a lower-order reading of s(t) would need hundreds to thousands
+        K, iv, cfg = _sweep_gauge(name)
+        assert reconstruct(K, cfg, interval=iv).meta["stats"]["leg_panels"] <= 128
+
+    @pytest.mark.parametrize("name", ["seiffert", "sn-family", "borderline",
+                                      "loxo-super", "clelia", "catenary"])
+    def test_arc_err_max_is_the_worst_accepted_panel(self, name):
+        # recomputed panel by panel from the arc nodes: each accepted
+        # |GL15 - GL7| is within the table tolerance or the panel's own
+        # roundoff floor, and the largest is the reported one
+        K, iv, cfg = _sweep_gauge(name)
+        tr = reconstruct(K, cfg, interval=iv)
+        iv = iv if iv is not None else _pick_interval(K, None)
+        m, r = 0.5 * (iv.z_lo + iv.z_hi), 0.5 * (iv.z_hi - iv.z_lo)
+        t0 = math.asin((tr.meta["gauge"]["z0"] - m) / r)
+        leg = _Leg(K, iv, cfg.quad_tol, t0, need_arc=0.5 * cfg.s_span + 1.0)
+        spiral = any(leg.spiral)
+        a, b = leg.t[:-1, None], leg.t[1:, None]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        g15, frac, _, _ = _arc_rate(K, iv, mid + half * _X15, spiral)
+        g7 = _arc_rate(K, iv, mid + half * _X7, spiral)[0]
+        err = np.abs(half[:, 0] * (g15 @ _W15 - g7 @ _W7))
+        floor = 4.0 * half[:, 0] * ((g15 * frac) @ _W15)
+        tol = max(cfg.quad_tol / 64.0, 1e-14)
+        assert np.all(err <= np.maximum(tol, floor))
+        got = tr.meta["stats"]["arc_err_max"]
+        assert got == leg.arc_err.max() == pytest.approx(err.max(), rel=1e-6)
+        assert got > 0.0
+
+    def test_arc_err_max_does_not_grow_with_samples(self):
+        K = family_law("seiffert", {"p": 0.7})
+        a, b = (reconstruct(K, _cfg(200.0, n=n, z0=0.0, dz_sign0=-1)).meta["stats"]
+                for n in (1201, 40001))
+        assert a["arc_err_max"] == b["arc_err_max"] > 0.0
+        assert a["arc_err_max"] <= 1e-10 / 64.0
 
 
 class TestWholeLegs:
