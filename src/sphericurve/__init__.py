@@ -43,7 +43,6 @@ from .reconstruct import (
     CurveTrace,
     ReconstructionConfig,
     arc_length_of_z,
-    longitude_of_s,
     reconstruct,
     z_of_s,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "initial_state",
     "jacobi",
     "linear_elastica_law",
-    "longitude_of_s",
     "loxo_one_law",
     "loxo_super_law",
     "loxodrome_law",

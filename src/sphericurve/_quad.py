@@ -1,16 +1,14 @@
-"""Adaptive Gauss-Legendre quadrature, scalar and batched.
+"""Adaptive Gauss-Legendre quadrature of many integrand columns at once.
 
-The error estimate on a panel is |GL15 - GL7|; a panel is accepted when
-that is below the local tolerance and split otherwise.  The batched
-variant drives many panels at once through vectorized integrand calls.
-Cumulative tables built from these panels are read between their nodes
-through the Gauss polynomial (_INT15), and inverted through interpolants
-at Chebyshev points (_CHEB, _CHEB_LEG).
+The one adaptive routine, gauss_adaptive, refines the panels between
+given nodes with vectorized integrand calls and keeps, per accepted
+panel, each column's Gauss polynomial.  Cumulative tables built from
+these panels are read between their nodes through that polynomial
+(_INT15), and inverted through interpolants at Chebyshev points (_CHEB,
+_CHEB_LEG).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,23 +27,6 @@ _LEG_D = np.polynomial.legendre.legder(np.eye(16))
 # coefficients of their interpolant
 _CHEB = np.sin(np.pi * np.arange(-8, 9) / 16.0)
 _CHEB_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_CHEB, 16))
-
-_MAX_DEPTH = 48
-
-
-def _noise_floor(half, y15):
-    """Smallest |GL15 - GL7| a panel can honestly achieve.
-
-    Two effects bound refinement from below: summation roundoff, scaling
-    with the L1 node mass, and jitter in the integrand values themselves
-    (positions fed through root-finding carry ~1e-12 of arc noise), whose
-    quadrature impact scales with the value spread across the panel.
-    Splitting shrinks both bounds at the same rate as the error they
-    cause, so panels below this floor would split without progress.
-    """
-    along = y15.ndim - 1
-    spread = np.max(y15, axis=along) - np.min(y15, axis=along)
-    return 4e-15 * np.abs(half) * (np.abs(y15) @ _W15) + 2e-12 * spread
 
 
 def legval_rows(c, x):
@@ -69,69 +50,49 @@ def hermite(x, h, y0, d0, y1, d1):
     return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
-def gauss_adaptive(f, a: float, b: float, tol: float) -> float:
-    """Integrate over [a, b] to absolute tolerance a vectorized f returning
-    the integrand and each value's roundoff share; a panel whose |GL15 -
-    GL7| that roundoff can explain is accepted."""
-    if a == b:
-        return 0.0
-    total = 0.0
-    stack = [(float(a), float(b), float(tol), 0)]
-    while stack:
-        lo, hi, t, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        y7 = f(mid + half * _X7)[0]
-        y15, share = f(mid + half * _X15)
-        i7 = half * float(np.dot(_W7, y7))
-        i15 = half * float(np.dot(_W15, y15))
-        err = abs(i15 - i7)
-        noise = max(_noise_floor(half, y15),
-                    4.0 * abs(half) * float(np.dot(_W15, np.abs(y15) * share)))
-        if err <= t or (math.isfinite(err) and err <= noise) or depth >= _MAX_DEPTH:
-            total += i15
-        else:
-            stack.append((lo, mid, t, depth + 1))
-            stack.append((mid, hi, t, depth + 1))
-    return total
+def gauss_adaptive(f, nodes, tol: float):
+    """Integrate the columns of f over each interval between ascending nodes.
 
-
-def gauss_batch(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Integrate f over many intervals [a_i, b_i] at once.
-
-    f must accept a flat array and return values elementwise.  Returns
-    the per-interval integrals.  Intervals are refined independently;
-    each round evaluates every still-active panel in one call.
+    f(t) takes a flat array and returns the integrand columns, shaped
+    (k, t.size), and each point's roundoff share.  Panels are split at
+    their midpoints, all new ones evaluated in one call, until every
+    column passes |GL15 - GL7| and its Gauss polynomial's left-half
+    integral matches the left half's GL15, against tol or, where larger,
+    the roundoff the shares explain; a panel narrower than 1e-6 or 40
+    levels deep is accepted as it is.  Returns the accepted panels in
+    order: their edges (every node among them), the Legendre coefficients
+    on [-1, 1] of each column's cumulative polynomial (k, panels, 16),
+    the panel sums (k, panels) and the first column's |GL15 - GL7|.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros_like(a)
-    owner = np.arange(a.size)
-    lo, hi = a.copy(), b.copy()
-    t = np.full(a.size, float(tol))
-    live = lo != hi
-    owner, lo, hi, t = owner[live], lo[live], hi[live], t[live]
-
-    for depth in range(_MAX_DEPTH + 1):
-        if owner.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts7 = mid[:, None] + half[:, None] * _X7[None, :]
-        pts15 = mid[:, None] + half[:, None] * _X15[None, :]
-        y7 = f(pts7.ravel()).reshape(pts7.shape)
-        y15 = f(pts15.ravel()).reshape(pts15.shape)
-        i7 = half * (y7 @ _W7)
-        i15 = half * (y15 @ _W15)
+    nodes = np.asarray(nodes, dtype=float)
+    a, b = nodes[:-1], nodes[1:]
+    done = []
+    for level in range(41):
+        n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
+        cols, share = f(np.concatenate([
+            (mid[:, None] + half[:, None] * _X15[None, :]).ravel(),
+            (mid[:, None] + half[:, None] * _X7[None, :]).ravel(),
+            (0.5 * (a + mid)[:, None] + 0.5 * half[:, None] * _X15[None, :]).ravel()]))
+        k = cols.shape[0]
+        y15, y7, y15l = (cols[:, i * n:j * n].reshape(k, n, j - i)
+                         for i, j in ((0, 15), (15, 22), (22, 37)))
+        i15, i7 = half * (y15 @ _W15), half * (y7 @ _W7)
+        i15l = 0.5 * half * (y15l @ _W15)
+        coef = y15 @ _INT15.T
         err = np.abs(i15 - i7)
-        noise = _noise_floor(half, y15)
-        done = (err <= t) | (np.isfinite(err) & (err <= noise))
-        done |= depth == _MAX_DEPTH
-        np.add.at(out, owner[done], i15[done])
-        keep = ~done
-        owner, lo, hi, t = owner[keep], lo[keep], hi[keep], t[keep]
-        mid = mid[keep]
-        owner = np.concatenate([owner, owner])
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        t = np.concatenate([t, t])
-    return out
+        # refinement cannot resolve below the roundoff carried by the
+        # integrand; estimate that noise per panel and accept once it dominates
+        tol_eff = np.maximum(tol, 4.0 * np.abs(half) * (
+            (np.abs(y15) * share[:15 * n].reshape(n, 15)) @ _W15))
+        miss = (err > tol_eff) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol_eff)
+        split = miss.any(axis=0) & ((b - a) > 1e-6) & (level < 40)
+        done.append((a[~split], coef[:, ~split], i15[:, ~split], err[0, ~split]))
+        if not split.any():
+            break
+        mid = mid[split]
+        a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+
+    a, coef, sums, err = zip(*done)
+    order = np.argsort(a := np.concatenate(a))
+    return (np.append(a[order], nodes[-1]), np.concatenate(coef, axis=1)[:, order],
+            np.concatenate(sums, axis=1)[:, order], np.concatenate(err)[order])

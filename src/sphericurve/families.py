@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._fd import deriv2
-from ._quad import gauss_batch
+from ._quad import gauss_adaptive
 from .laws import (
     MomentumLaw,
     antiderivative,
@@ -379,10 +379,11 @@ def _make_catenary(q):
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
         grid = np.unique(np.concatenate([flat, [0.0]]))
-        deltas = gauss_batch(rate, grid[:-1], grid[1:], 1e-13)
-        cum = np.concatenate([[0.0], np.cumsum(deltas)])
-        cum = cum - cum[np.searchsorted(grid, 0.0)]
-        lam = cum[np.searchsorted(grid, flat)].reshape(s.shape)
+        edges, _, sums, _ = gauss_adaptive(
+            lambda t: (rate(t)[None], np.zeros_like(t)), grid, 1e-13)
+        cum = np.concatenate([[0.0], np.cumsum(sums[0])])
+        cum = cum - cum[np.searchsorted(edges, 0.0)]
+        lam = cum[np.searchsorted(edges, flat)].reshape(s.shape)
         z = z_of(s)
         phi = np.arcsin(np.clip(z, -1.0, 1.0))
         return phi, lam, _xi_from(phi, lam)
@@ -397,12 +398,13 @@ def _make_catenary(q):
 def _make_sn_family(q):
     p = q["p"]
     pp = math.sqrt((1.0 - p) * (1.0 + p))
-    lam0 = (p / (2.0 * pp)) * math.log((1.0 + pp) / (1.0 - pp))
 
     def ev(s):
         sn, cn, dn, am = _jac_arrays(s, p)
+        # dn^2 - pp^2 = p^2 cn^2, so log((dn + pp) / (dn - pp)) is
+        # 2 log((dn + pp) / (p |cn|)), with no cancellation next to a contact
         with np.errstate(divide="ignore"):
-            lam = lam0 - (p / (2.0 * pp)) * np.log((dn + pp) / (dn - pp))
+            lam = (p / pp) * np.log((1.0 + pp) * np.abs(cn) / (dn + pp))
         phi = am
         # at a pole contact lam diverges but cn is 0; emit the pole point
         lam_f = np.where(np.isfinite(lam), lam, 0.0)

@@ -686,10 +686,19 @@ def _arc_rate(K: MomentumLaw, iv: AdmissibleInterval, t, spiral: bool):
         return r * np.cos(t) / np.sqrt(P), np.minimum(0.5 * noise / P, 1.0), z, w2
 
 
-def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
+def _arc_column(K: MomentumLaw, iv: AdmissibleInterval):
+    """The arc integrand over iv as gauss_adaptive's one column."""
     spiral = any(_spiral_ends(K, iv))
-    return 2.0 * gauss_adaptive(lambda t: _arc_rate(K, iv, t, spiral)[:2],
-                                -math.pi / 2.0, math.pi / 2.0, 1e-12)
+
+    def f(t):
+        g, share, _, _ = _arc_rate(K, iv, t, spiral)
+        return g[None], share
+    return f
+
+
+def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
+    sums = gauss_adaptive(_arc_column(K, iv), [-math.pi / 2.0, math.pi / 2.0], 1e-12)[2]
+    return 2.0 * float(sums.sum())
 
 
 def admissible_intervals(K: MomentumLaw, n_grid: int = 4096,

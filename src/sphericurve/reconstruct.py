@@ -25,14 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import (_CHEB, _CHEB_LEG, _INT15, _INT15_MID, _LEG_D, _W7, _W15,
-                    _X7, _X15, gauss_adaptive, legval_rows)
+from ._quad import _CHEB, _CHEB_LEG, _LEG_D, _W7, _X7, gauss_adaptive, legval_rows
 from .laws import (
-    _POLE_MOMENTUM_TOL,
     OPEN_BOUNDARY,
     POLE_PASSAGE,
     AdmissibleInterval,
     MomentumLaw,
+    _arc_column,
     _arc_rate,
     _spiral_ends,
     admissible_intervals,
@@ -105,6 +104,13 @@ class CurveTrace:
         return self.s.size
 
 
+def _t_of_z(iv: AdmissibleInterval, z: float) -> float:
+    """Table parameter t of height z = m + r sin t over iv, exact at both
+    ends: (z - z_lo)(z_hi - z) = r^2 cos^2 t carries no cancellation."""
+    return math.atan2(z - 0.5 * (iv.z_lo + iv.z_hi),
+                      math.sqrt(max(0.0, (z - iv.z_lo) * (iv.z_hi - z))))
+
+
 def _phi_extended(sheet: np.ndarray, z: np.ndarray) -> np.ndarray:
     sgn = 1 - 2 * (np.asarray(sheet) % 2)
     return sheet * np.pi + sgn * np.arcsin(np.clip(z, -1.0, 1.0))
@@ -151,14 +157,16 @@ class _Leg:
         for low, asym in ((True, self.asym_lo), (False, self.asym_hi)):
             if asym:
                 self._extend(nodes, t0, need_arc, low)
-        # longitude cuts at spiral ends, where s ~ sqrt(2 r / |P'|) t to O(cut^3)
+        # longitude cuts at spiral ends, where s ~ sqrt(2 r / |P'|) t to
+        # O(cut^3); each is a node, so no panel straddles one
         self.cut = [-math.inf, math.inf]
         for e, pole in ((0, -1.0), (1, 1.0)):
             if self.spiral[e]:
                 g_end = math.sqrt(2.0 * self.r / max(abs(K.dP(pole)), 1e-12))
                 self.cut[e] = pole * (half_pi - _POLE_CUT / g_end)
+                nodes.append(self.cut[e])
 
-        self._refine(np.asarray(nodes), max(quad_tol / 64.0, 1e-14), t0)
+        self._refine(np.sort(nodes), max(quad_tol / 64.0, 1e-14), t0)
         self.total = float(self.s[-1])
         self._invert()
         self._ends()
@@ -166,7 +174,8 @@ class _Leg:
     # -- construction ------------------------------------------------------
 
     def _columns(self, t):
-        """g, the longitude rate per parity (rows) and P's noise share."""
+        """g, the longitude rate per parity (rows; 0 past a spiral cut) and
+        P's noise share."""
         g, frac, z, w2 = _arc_rate(self.K, self.iv, t, any(self.spiral))
         # latitude from the cancellation-free cos, so 1/cos(phi) in a rate
         # keeps its relative accuracy next to a pole; pi - phi for the far
@@ -176,7 +185,9 @@ class _Leg:
         if self.parities == 2:
             phi = np.concatenate([phi, np.arctan2(z, -w)])
         self.rate_points += phi.size
-        return g, self.K.lambda_rate_phi(phi).reshape(self.parities, -1), frac
+        rate = self.K.lambda_rate_phi(phi).reshape(self.parities, -1)
+        rate[:, (t < self.cut[0]) | (t > self.cut[1])] = 0.0
+        return g, rate, frac
 
     def _extend(self, nodes, t0, need_arc, low: bool):
         end = -math.pi / 2.0 if low else math.pi / 2.0
@@ -198,53 +209,16 @@ class _Leg:
             nodes.insert(0 if low else len(nodes), new_t)
 
     def _refine(self, t, tol, t0):
-        """Split panels (evaluating only new ones) until every column
-        passes |GL15 - GL7| and its Gauss polynomial's left-half integral
-        matches the left half's GL15; a panel holding a spiral cut is split
-        on the cut."""
-        a, b = t[:-1], t[1:]
-        done = []
-        for it in range(41):
-            n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
-            g, rate, frac = self._columns(np.concatenate([
-                (mid[:, None] + half[:, None] * _X15[None, :]).ravel(),
-                (mid[:, None] + half[:, None] * _X7[None, :]).ravel(),
-                (0.5 * (a + mid)[:, None]
-                 + 0.5 * half[:, None] * _X15[None, :]).ravel()]))
-            cols = np.vstack([g, rate * g])
-            y15, y7, y15l = (cols[:, i:j].reshape(len(cols), n, -1) for i, j in
-                             ((0, 15 * n), (15 * n, 22 * n), (22 * n, 37 * n)))
-            # panels past a spiral cut carry no longitude
-            live = (a >= self.cut[0]) & (b <= self.cut[1])
-            for y in (y15, y7, y15l):
-                y[1:, ~live] = 0.0
-            i15, i7 = half * (y15 @ _W15), half * (y7 @ _W7)
-            i15l = 0.5 * half * (y15l @ _W15)
-            coef = y15 @ _INT15.T
-            err = np.abs(i15 - i7)
-            # refinement cannot resolve below the roundoff carried by P;
-            # estimate that noise per panel and accept once it dominates
-            tol_eff = np.maximum(tol, 4.0 * np.abs(half) * (
-                (np.abs(y15) * frac[:15 * n].reshape(n, 15)) @ _W15))
-            miss = (err > tol_eff) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol_eff)
-            on_lo = (a < self.cut[0]) & (self.cut[0] < b)
-            on_hi = (a < self.cut[1]) & (self.cut[1] < b)
-            split = (miss.any(axis=0) & ((b - a) > 1e-6) & (it < 40)) | on_lo | on_hi
-            done.append((a[~split], coef[:, ~split], i15[:, ~split], err[0, ~split]))
-            if not split.any():
-                break
-            at = np.where(on_lo, self.cut[0], np.where(on_hi, self.cut[1], mid))[split]
-            a, b = np.concatenate([a[split], at]), np.concatenate([at, b[split]])
+        """The arc and longitude columns through gauss_adaptive."""
+        def cols(x):
+            g, rate, frac = self._columns(x)
+            return np.vstack([g, rate * g]), frac
 
-        a, coef, sums, err = zip(*done)
-        coef, sums = np.concatenate(coef, axis=1), np.concatenate(sums, axis=1)
-        order = np.argsort(a := np.concatenate(a))
-        self.t = np.append(a[order], t[-1])
-        self.arc_err = np.concatenate(err)[order]
+        self.t, coef, sums, self.arc_err = gauss_adaptive(cols, t, tol)
         # degree first, so a gather per sample reads contiguous rows
-        self.arc_coef = coef[0, order]
-        self.coef = coef[1:, order].transpose(2, 0, 1).copy()
-        ds, dlam = sums[0, order], sums[1:, order]
+        self.arc_coef = coef[0]
+        self.coef = coef[1:].transpose(2, 0, 1).copy()
+        ds, dlam = sums[0], sums[1:]
         self.s = np.concatenate([[0.0], np.cumsum(ds)])
         # summed outward from the gauge point's node, so values near the
         # window stay small and carry a small rounding error
@@ -395,15 +369,13 @@ class _Motion:
                  half_span: float, quad_tol: float,
                  z0: Optional[float] = None, dz_sign0: int = 1):
         self.iv = iv
-        m = 0.5 * (iv.z_lo + iv.z_hi)
-        r = 0.5 * (iv.z_hi - iv.z_lo)
-        z0 = z0 if z0 is not None else m
+        z0 = z0 if z0 is not None else 0.5 * (iv.z_lo + iv.z_hi)
         if not iv.z_lo < z0 < iv.z_hi:
             raise ValueError(
                 f"z0 = {z0} must lie strictly inside ({iv.z_lo}, {iv.z_hi})"
             )
         self.z0 = float(z0)
-        self.t0 = math.asin(min(1.0, max(-1.0, (z0 - m) / r)))
+        self.t0 = _t_of_z(iv, self.z0)
         self.leg = _Leg(K, iv, quad_tol, self.t0, need_arc=half_span + 1.0)
         self.S0 = float(self.leg.s_of_t(np.array([self.t0]))[0])
         self.d0 = int(dz_sign0)
@@ -569,12 +541,11 @@ def arc_length_of_z(K: MomentumLaw, z_from: float, z_to: float,
         if (kind == OPEN_BOUNDARY and min(abs(z_from - z_end), abs(z_to - z_end)) <= 1e-12
                 and K.P(z_end) <= _ASYMPTOTE_P_TOL):
             return math.copysign(math.inf, z_to - z_from)
-    m = 0.5 * (iv.z_lo + iv.z_hi)
-    r = 0.5 * (iv.z_hi - iv.z_lo)
-    spiral = any(_spiral_ends(K, iv))
-    t_a = math.asin(min(1.0, max(-1.0, (z_from - m) / r)))
-    t_b = math.asin(min(1.0, max(-1.0, (z_to - m) / r)))
-    return gauss_adaptive(lambda t: _arc_rate(K, iv, t, spiral)[:2], t_a, t_b, quad_tol)
+    t_a, t_b = _t_of_z(iv, z_from), _t_of_z(iv, z_to)
+    if t_a == t_b:  # the integrand can be 0/0 on a pole
+        return 0.0
+    sums = gauss_adaptive(_arc_column(K, iv), sorted((t_a, t_b)), quad_tol)[2]
+    return math.copysign(float(sums.sum()), t_b - t_a)
 
 
 def z_of_s(K: MomentumLaw, s, interval: Optional[AdmissibleInterval] = None,
@@ -593,60 +564,6 @@ def z_of_s(K: MomentumLaw, s, interval: Optional[AdmissibleInterval] = None,
     half = float(np.max(np.abs(s))) if s.size else 0.5
     motion = _Motion(K, iv, max(half, 5e-7), quad_tol, z0, dz_sign0)
     return motion.leg.z_of_t(motion.leg.t_of_s(motion._fold(motion.S0 + motion.d0 * s)))
-
-
-def longitude_of_s(K: MomentumLaw, s, z, lambda0: float = 0.0) -> np.ndarray:
-    """Longitude along a sampled height history, by composite quadrature.
-
-    s must be uniform and z the matching height samples of a single
-    reconstructed motion.  The longitude is anchored at the first sample:
-    lambda(s[0]) = lambda0.  Pole contacts are detected from the samples;
-    smooth passages integrate straight through, while a spiraling contact
-    landing between samples makes the neighboring longitude values blow
-    up honestly (the true longitude diverges there).
-    """
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if s.shape != z.shape or s.ndim != 1:
-        raise ValueError("s and z must be 1-d arrays of equal length")
-    if s.size < 2:
-        return np.full_like(s, lambda0)
-    from ._fd import check_uniform
-
-    h = check_uniform(s)
-
-    n = s.size
-    contact_n = (K.law.domain[1] >= 1.0
-                 and abs(K.value(1.0)) <= _POLE_MOMENTUM_TOL)
-    contact_s = (K.law.domain[0] <= -1.0
-                 and abs(K.value(-1.0)) <= _POLE_MOMENTUM_TOL)
-    # a contact: a height extremum within the stencil's reach of a pole;
-    # there the sheet steps by (-1)^sheet (+1 north, -1 south)
-    zi, near = z[1:-1], 4.0 * np.abs(z[:-2] - 2.0 * z[1:-1] + z[2:]) + 1e-12
-    north = contact_n & (zi >= z[:-2]) & (zi >= z[2:]) & (1.0 - zi <= near)
-    south = contact_s & (zi <= z[:-2]) & (zi <= z[2:]) & (1.0 + zi <= near) & ~north
-    d = north.astype(int) - south
-    sheet = np.cumsum((-1) ** (np.cumsum(d != 0) - (d != 0)) * d)
-    sheet = np.concatenate([[0], sheet, sheet[-1:] if sheet.size else [0]])
-    phi = _phi_extended(sheet, z)
-    rate = K.lambda_rate_phi(phi)
-
-    # four-point midpoint heights, three-point at the ends
-    zm = np.empty(n - 1)
-    if n >= 4:
-        zm[1:-1] = (-z[:-3] + 9.0 * z[1:-2] + 9.0 * z[2:-1] - z[3:]) / 16.0
-        zm[0] = (3.0 * z[0] + 6.0 * z[1] - z[2]) / 8.0
-        zm[-1] = (3.0 * z[-1] + 6.0 * z[-2] - z[-3]) / 8.0
-    else:
-        zm[:] = 0.5 * (z[:-1] + z[1:])
-    phim = _phi_extended(sheet[:-1], np.clip(zm, -1.0, 1.0))
-    ratem = K.lambda_rate_phi(phim)
-
-    steps = (h / 6.0) * (rate[:-1] + 4.0 * ratem + rate[1:])
-    lam = np.empty(n)
-    lam[0] = lambda0
-    lam[1:] = lambda0 + np.cumsum(steps)
-    return lam
 
 
 def reconstruct(K: MomentumLaw, config: ReconstructionConfig,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from sphericurve.families import (
 )
 from sphericurve.laws import momentum_from_trace
 from sphericurve.oracle import curvature_from_trace
+from sphericurve.specfun import complete_K
 from sphericurve._fd import deriv1
 
 # windows stay clear of curvature blow-ups so difference stencils behave
@@ -213,3 +215,31 @@ class TestFactory:
         assert names == sorted(names)
         for t in ("constant", "elastica", "seiffert", "viviani", "clelia"):
             assert t in names
+
+
+class TestClosedFormLongitude:
+    """Closed-form longitudes against 30-digit quadratures of their rates."""
+
+    def test_sn_family_next_to_a_spiral_contact(self):
+        p = 0.4
+        s = complete_K(p) - 0.004
+        with mpmath.workdps(30):
+            z = mpmath.ellipfun("sn", s, m=p * p)
+            want = mpmath.quad(
+                lambda x: -p * x / ((1 - x * x) * mpmath.sqrt(1 - p * p * x * x)), [0, z])
+        lam = closed_form("sn-family", {"p": p})(np.array([s]))[1][0]
+        assert abs(lam - float(want)) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.7, 3.0, 50.0])
+    def test_catenary(self, s):
+        a = 0.3
+        q = math.sqrt(1.0 - 4.0 * a * a)
+
+        def rate(u):
+            v = q * mpmath.sin(2 * u)
+            return 2 * a / (mpmath.sqrt((1 + v) / 2) * (1 - v))
+
+        with mpmath.workdps(30):
+            want = mpmath.quad(rate, mpmath.linspace(0, s, 1 + math.ceil(s)))
+        lam = closed_form("catenary", {"a": a})(np.array([s]))[1][0]
+        assert abs(lam - float(want)) <= 1e-13

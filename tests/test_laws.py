@@ -214,6 +214,22 @@ class TestAdmissibleIntervals:
         want = 4.0 * float(mpmath.ellipk(p * p))
         assert iv.period_s == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.45, 0.499])
+    def test_catenary_period_is_pi(self, a):
+        # z^2 = (1 + q sin 2s) / 2 on both branches
+        ivs = admissible_intervals(family_law("catenary", {"a": a}))
+        assert len(ivs) == 2
+        for iv in ivs:
+            assert iv.period_s == pytest.approx(math.pi, rel=0.0, abs=5e-12)
+
+    @pytest.mark.parametrize("n", [0.05, 1.0 / 3.0, 1.0, 3.0, 20.0])
+    def test_clelia_period_is_four_A_E(self, n):
+        # phi = n lambda: pole to pole is 2 A E(p), A = sqrt(n^2 + 1) / n,
+        # p = 1 / sqrt(n^2 + 1)
+        (iv,) = admissible_intervals(family_law("clelia", {"n": n}))
+        want = 4.0 * math.sqrt(n * n + 1.0) / n * float(mpmath.ellipe(1.0 / (n * n + 1.0)))
+        assert iv.period_s == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_viviani_P_closed_form(self):
         n = 1.0
         K = antiderivative(viviani_law())

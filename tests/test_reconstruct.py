@@ -29,9 +29,9 @@ from sphericurve.reconstruct import (
     ReconstructionConfig,
     _Leg,
     _pick_interval,
+    _t_of_z,
     _widest,
     arc_length_of_z,
-    longitude_of_s,
     reconstruct,
     z_of_s,
 )
@@ -207,6 +207,17 @@ class TestArcLength:
             got = arc_length_of_z(K, 0.0, zt)
             assert got == pytest.approx(incomplete_F(math.asin(zt), p), abs=1e-10)
 
+    @pytest.mark.parametrize("a", [0.3, 0.45])
+    def test_catenary_turning_point_to_turning_point(self, a):
+        # z^2 = (1 + q sin 2s) / 2 climbs from z_lo to z_hi in s = pi/2; the
+        # height map is exact at both ends, so no sliver of arc is lost there
+        # and the quadrature is the period's own, over t in [-pi/2, pi/2]
+        K = antiderivative(catenary_law(a))
+        for iv in admissible_intervals(K):
+            got = arc_length_of_z(K, iv.z_lo, iv.z_hi, interval=iv)
+            assert got == 0.5 * iv.period_s
+            assert got == pytest.approx(math.pi / 2.0, rel=0.0, abs=1e-12)
+
     def test_asymptote_is_infinite(self):
         K = antiderivative(loxo_super_law(2.0))
         iv = _pos_interval(K)
@@ -224,18 +235,6 @@ class TestWrappers:
         K = antiderivative(constant_law(0.0))
         s = np.linspace(-2.0, 2.0, 41)
         assert np.max(np.abs(z_of_s(K, s, z0=0.0) - np.sin(s))) < 1e-10
-
-    def test_longitude_of_s_matches_reconstruct(self):
-        K = antiderivative(constant_law(0.0), 0.3)
-        tr = reconstruct(K, _cfg(4.0, n=401, z0=0.0))
-        lam = longitude_of_s(K, tr.s, tr.z, lambda0=tr.lam[0])
-        assert np.max(np.abs(lam - tr.lam)) < 1e-6
-
-    def test_longitude_of_s_needs_uniform_grid(self):
-        K = antiderivative(constant_law(0.0), 0.3)
-        s = np.array([0.0, 0.1, 0.3])
-        with pytest.raises(ValueError):
-            longitude_of_s(K, s, np.sin(s))
 
 
 class TestTruncation:
@@ -380,8 +379,7 @@ class TestLegTable:
         K, iv, cfg = _sweep_gauge(name)
         tr = reconstruct(K, cfg, interval=iv)
         iv = iv if iv is not None else _pick_interval(K, None)
-        m, r = 0.5 * (iv.z_lo + iv.z_hi), 0.5 * (iv.z_hi - iv.z_lo)
-        t0 = math.asin((tr.meta["gauge"]["z0"] - m) / r)
+        t0 = _t_of_z(iv, tr.meta["gauge"]["z0"])
         leg = _Leg(K, iv, cfg.quad_tol, t0, need_arc=0.5 * cfg.s_span + 1.0)
         spiral = any(leg.spiral)
         a, b = leg.t[:-1, None], leg.t[1:, None]
