@@ -38,18 +38,6 @@ def legval_rows(c, x):
     return b1
 
 
-def hermite(x, h, y0, d0, y1, d1):
-    """Cubic Hermite at local x in [0, 1] of a panel of width h.
-
-    y0, y1 are the values and d0, d1 the slopes at the panel ends.
-    """
-    h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
-    h10 = x * (1.0 - x) ** 2
-    h01 = x * x * (3.0 - 2.0 * x)
-    h11 = x * x * (x - 1.0)
-    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-
 def gauss_adaptive(f, nodes, tol: float):
     """Integrate the columns of f over each interval between ascending nodes.
 

@@ -241,33 +241,18 @@ def _make_great_circle(q):
                            -math.inf, math.inf, ev, kap)
 
 
-def _jac_arrays(s, p):
-    flat = np.asarray(s, dtype=float).ravel()
-    sn = np.empty(flat.size)
-    cn = np.empty(flat.size)
-    dn = np.empty(flat.size)
-    am = np.empty(flat.size)
-    for i, u in enumerate(flat):
-        t = jacobi(float(u), p)
-        sn[i], cn[i], dn[i], am[i] = t.sn, t.cn, t.dn, t.am
-    shape = np.asarray(s, dtype=float).shape
-    return (sn.reshape(shape), cn.reshape(shape),
-            dn.reshape(shape), am.reshape(shape))
-
-
 def _make_seiffert(q):
     p = q["p"]
 
     def ev(s):
-        sn, cn, dn, am = _jac_arrays(s, p)
-        phi = 0.5 * np.pi - am
+        j = jacobi(np.asarray(s, dtype=float), p)
+        phi = 0.5 * np.pi - j.am
         lam = p * np.asarray(s, dtype=float)
-        xi = np.column_stack([sn * np.cos(lam), sn * np.sin(lam), cn])
+        xi = np.column_stack([j.sn * np.cos(lam), j.sn * np.sin(lam), j.cn])
         return phi, lam, xi
 
     def kap(s):
-        _, cn, _, _ = _jac_arrays(s, p)
-        return 2.0 * p * cn
+        return 2.0 * p * jacobi(np.asarray(s, dtype=float), p).cn
 
     return ClosedFormCurve("seiffert", {"p": p}, -math.inf, math.inf, ev, kap)
 
@@ -400,19 +385,19 @@ def _make_sn_family(q):
     pp = math.sqrt((1.0 - p) * (1.0 + p))
 
     def ev(s):
-        sn, cn, dn, am = _jac_arrays(s, p)
+        j = jacobi(np.asarray(s, dtype=float), p)
         # dn^2 - pp^2 = p^2 cn^2, so log((dn + pp) / (dn - pp)) is
         # 2 log((dn + pp) / (p |cn|)), with no cancellation next to a contact
         with np.errstate(divide="ignore"):
-            lam = (p / pp) * np.log((1.0 + pp) * np.abs(cn) / (dn + pp))
-        phi = am
+            lam = (p / pp) * np.log((1.0 + pp) * np.abs(j.cn) / (j.dn + pp))
+        phi = j.am
         # at a pole contact lam diverges but cn is 0; emit the pole point
         lam_f = np.where(np.isfinite(lam), lam, 0.0)
-        xi = np.column_stack([cn * np.cos(lam_f), cn * np.sin(lam_f), sn])
+        xi = np.column_stack([j.cn * np.cos(lam_f), j.cn * np.sin(lam_f), j.sn])
         return phi, lam, xi
 
     def kap(s):
-        _, cn, _, _ = _jac_arrays(s, p)
+        cn = jacobi(np.asarray(s, dtype=float), p).cn
         with np.errstate(divide="ignore"):
             return p * (2.0 * cn - 1.0 / cn)
 

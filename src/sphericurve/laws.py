@@ -18,22 +18,37 @@ Each family is one CurvatureLaw subclass stating K and kappa once in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from ._fd import check_uniform, deriv1
-from ._quad import _W7, _X7, gauss_adaptive, hermite
+from ._quad import gauss_adaptive, legval_rows
 
 TURNING_POINT = "turning-point"
 POLE_PASSAGE = "pole-passage"
 OPEN_BOUNDARY = "open-boundary"
 
-# |K(+-1)| at or below this counts as a genuine pole contact
-_POLE_MOMENTUM_TOL = 1e-10
-# relative slack when matching polynomial momentum roots at u = +-1
+# relative slack when matching polynomial roots: momentum roots at u = +-1,
+# and roots of P's numerator between which it stays within this share of
+# its summed terms (one root of their joint multiplicity)
 _CONTACT_COEF_TOL = 1e-12
+
+
+def _poly(*coefs):
+    """Power series in z with exact (Fraction) coefficients, ascending."""
+    return Polynomial(np.array([Fraction(x) for x in coefs], dtype=object))
+
+
+_W2 = _poly(1, 0, -1)  # 1 - z^2
+_ONE = _poly(1)
+# Gauss-Legendre on [0, 1]
+_X8, _W8 = np.polynomial.legendre.leggauss(8)
+_X8, _W8 = 0.5 * (_X8 + 1.0), 0.5 * _W8
 
 
 def _at_z(z, fn, *c):
@@ -63,13 +78,16 @@ class CurvatureLaw:
     kind        one of the built-in family tags or "custom"
     params      family parameters by name
     domain      open z-interval on which kappa is finite
-    singular_z  interior heights where kappa blows up (splits scanning)
+    singular_z  interior heights where kappa blows up (splits the domain
+                into smooth pieces)
 
     Each family is a subclass that states its momentum K and curvature
     kappa once, as functions of (u, w) = (sin phi, cos phi) of the
     extended latitude; w keeps its sign on the far sheet after a pole
     passage, and the z-forms take w = +sqrt(1 - z^2).  Square roots are
     written ** 0.5 so one formula serves numpy arrays and plain floats.
+    Each also states its profile exactly, P = N / D with N and D
+    polynomials in z and D > 0 on every smooth piece.
     """
 
     kind: str
@@ -93,8 +111,39 @@ class CurvatureLaw:
         return self._K(u, w, c) * self._kap(u, w)
 
     def _rate(self, u, w, c):
-        """Longitude rate -K / w^2."""
-        return -self._K(u, w, c) / (w * w)
+        """Longitude rate -K / w^2.  On the half toward a pole where K
+        vanishes, K = (z - pole) Q with Q the mean of kappa over [pole, z]
+        (8-point Gauss), and the factor of w^2 = (1 - z)(1 + z) cancels."""
+        z = np.atleast_1d(u)
+        rate = np.atleast_1d(-self._K(u, w, c) / (w * w)).astype(float)
+        for pole in (-1.0, 1.0):
+            if self._touches(pole, c):
+                on = z * pole >= 0.0
+                q = _W8 @ self._kap(pole + _X8[:, None] * (z[on] - pole), None)
+                rate[on] = pole * q / (1.0 + pole * z[on])
+        return rate.reshape(np.shape(u))
+
+    def _profile(self, c):
+        """(N, D), exact power series in z (_poly) with P = N / D."""
+        raise NotImplementedError
+
+    def _touches(self, pole, c):
+        """Whether K vanishes at the pole z = +-1, an end of the domain."""
+        return pole in self.domain and abs(self._K(pole, 0.0, c)) <= _CONTACT_COEF_TOL
+
+    def _pieces(self, c):
+        """Per smooth piece of the domain (lo, hi, N, panels): N evaluates
+        P's numerator there, and the panels (za, zb, series in z) cover
+        its every root."""
+        N = self._profile(c)[0]
+        Nf = Polynomial(N.coef.astype(float))
+        edges = self._edges()
+        return [(a, b, Nf, [(a, b, N)]) for a, b in zip(edges[:-1], edges[1:])]
+
+    def _edges(self):
+        """Domain ends (within [-1, 1]) and interior singular heights, ascending."""
+        lo, hi = max(self.domain[0], -1.0), min(self.domain[1], 1.0)
+        return [lo, *(z for z in self.singular_z if lo < z < hi), hi]
 
     def kappa(self, z):
         """Evaluate kappa at z (array-valued); NaN outside the domain."""
@@ -127,29 +176,6 @@ def _horner(coefs, u):
     return out
 
 
-def _syndiv(coefs, root):
-    """Divide a descending-coefficient polynomial by (u - root), drop remainder."""
-    out = [coefs[0]]
-    for c in coefs[1:-1]:
-        out.append(c + root * out[-1])
-    return out
-
-
-def _contact_reduced(coefs):
-    """Numerator with the factors (u -+ 1) of touched poles divided out."""
-    tol = _CONTACT_COEF_TOL * (1.0 + sum(abs(x) for x in coefs))
-    north = abs(_horner(coefs, 1.0)) <= tol
-    if north:
-        coefs = _syndiv(coefs, 1.0)
-    south = abs(_horner(coefs, -1.0)) <= tol
-    if south and len(coefs) > 1:
-        coefs = _syndiv(coefs, -1.0)
-    elif south:
-        # a constant left after the north division vanishes at both poles
-        coefs = [0.0]
-    return coefs, north, south
-
-
 class _PolynomialLaw(CurvatureLaw):
     """Momentum polynomial in u with the free offset c as constant term."""
 
@@ -159,18 +185,14 @@ class _PolynomialLaw(CurvatureLaw):
     def _K(self, u, w, c):
         return _horner(self._coefs(c), u)
 
-    def _rate(self, u, w, c):
-        # where the momentum vanishes at a touched pole, the matching
-        # factor of w^2 = (1 - u)(1 + u) cancels exactly
-        coefs, north, south = _contact_reduced(self._coefs(c))
-        q = _horner(coefs, u)
-        if north and south:
-            return q
-        if north:
-            return q / (1.0 + u)
-        if south:
-            return -q / (1.0 - u)
-        return -q / (w * w)
+    def _profile(self, c):
+        K = _poly(*self._coefs(c)[::-1])
+        return _W2 - K * K, _ONE
+
+    def _touches(self, pole, c):
+        coefs = self._coefs(c)
+        return abs(_horner(coefs, pole)) <= _CONTACT_COEF_TOL * (
+            1.0 + sum(abs(x) for x in coefs))
 
 
 class _ConstantLaw(_PolynomialLaw):
@@ -204,6 +226,10 @@ class _LoxodromeLaw(CurvatureLaw):
     def _rate(self, u, w, c):
         return self.params["a"] / w
 
+    def _profile(self, c):
+        a = Fraction(self.params["a"])
+        return (1 - a * a) * _W2, _ONE
+
 
 class _LoxoOneLaw(CurvatureLaw):
     baked_c = True
@@ -216,6 +242,9 @@ class _LoxoOneLaw(CurvatureLaw):
 
     def _KdK(self, u, w, c):
         return -u
+
+    def _profile(self, c):
+        return _poly(1 - Fraction(self.params["a"])), _ONE
 
 
 class _LoxoSuperLaw(CurvatureLaw):
@@ -230,6 +259,9 @@ class _LoxoSuperLaw(CurvatureLaw):
     def _KdK(self, u, w, c):
         return -self.params["a"] * u
 
+    def _profile(self, c):
+        return _poly(0, 0, Fraction(self.params["a"]) - 1), _ONE
+
 
 class _CatenaryLaw(CurvatureLaw):
     baked_c = True
@@ -242,6 +274,10 @@ class _CatenaryLaw(CurvatureLaw):
 
     def _KdK(self, u, w, c):
         return -self.params["a"] ** 2 / u**3
+
+    def _profile(self, c):
+        a = Fraction(self.params["a"])
+        return _poly(-a * a, 0, 1, 0, -1), _poly(0, 0, 1)
 
 
 class _SnFamilyLaw(CurvatureLaw):
@@ -258,6 +294,9 @@ class _SnFamilyLaw(CurvatureLaw):
 
     def _rate(self, u, w, c):
         return -self.params["p"] * u / w
+
+    def _profile(self, c):
+        return _W2 * _poly(1, 0, -Fraction(self.params["p"]) ** 2), _ONE
 
 
 class _CleliaLaw(CurvatureLaw):
@@ -276,53 +315,91 @@ class _CleliaLaw(CurvatureLaw):
     def _rate(self, u, w, c):
         return 1.0 / (self.params["n"] ** 2 + w * w) ** 0.5
 
+    def _profile(self, c):
+        n2 = Fraction(self.params["n"]) ** 2
+        return n2 * _W2, _poly(n2 + 1, 0, -1)
+
+
+# Chebyshev points on [-1, 1] (ends included) where a custom panel's P, of
+# degree 30 in the local variable, is sampled, the matrix taking those values
+# to its Chebyshev coefficients, and the panel's K (Legendre) at the points
+_CHEB31 = np.cos(np.pi * np.arange(31) / 30.0)
+_CHEB31_COEF = np.linalg.inv(np.polynomial.chebyshev.chebvander(_CHEB31, 30))
+_LEG_CHEB31 = np.polynomial.legendre.legvander(_CHEB31, 15)
+
 
 @dataclass(frozen=True)
 class _CustomLaw(CurvatureLaw):
-    """A user kappa; K interpolates its cumulative integral from z = 0."""
-
-    _N = 4097
+    """A user kappa.  K integrates it with gauss_adaptive, anchored as
+    custom_law says, so K and P are one polynomial per panel."""
 
     def __post_init__(self):
-        lo, hi = self.domain
-        nodes = np.linspace(lo, hi, self._N)
-        kv = np.asarray(self.kappa(nodes), dtype=float)
-        bad = ~np.isfinite(kv)
-        if bad.any():
-            span = hi - lo
-            nodes = nodes.copy()
-            nodes[0] = nodes[0] + 1e-9 * span if bad[0] else nodes[0]
-            nodes[-1] = nodes[-1] - 1e-9 * span if bad[-1] else nodes[-1]
-            kv = np.asarray(self.kappa(nodes), dtype=float)
+        edges = self._edges()
+
+        def col(z):
+            kv = np.broadcast_to(np.asarray(self.kappa(z), dtype=float), z.shape)
             if not np.isfinite(kv).all():
-                raise ValueError(
-                    "custom law must be finite on the interior of its domain"
-                )
-        # integrate node to node with 7-point panels, then re-anchor at z = 0
-        h = np.diff(nodes)
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        pts = mid[:, None] + 0.5 * h[:, None] * _X7[None, :]
-        pv = np.asarray(self.kappa(pts.ravel()), dtype=float).reshape(pts.shape)
-        panels = 0.5 * h * (pv @ _W7)
-        vals = np.empty_like(nodes)
-        vals[0] = 0.0
-        vals[1:] = np.cumsum(panels)
-        object.__setattr__(self, "_table", (nodes, vals, kv))
-        anchor = float(self._K(min(max(0.0, lo), hi), None, 0.0))
-        object.__setattr__(self, "_table", (nodes, vals - anchor, kv))
+                raise ValueError("custom law must be finite on the interior of its domain")
+            return kv[None], np.zeros(z.size)
+
+        # K to 1e-14, its panel rises summed outward from each piece's anchor
+        t, coef, sums, _ = gauss_adaptive(col, edges, 1e-14)
+        base = np.zeros(t.size - 1)
+        object.__setattr__(self, "_table", (t, base, coef[0], tuple(zip(edges[:-1], edges[1:]))))
+        for plo, phi_ in self._table[3]:
+            z = min(max(0.0, plo), phi_)
+            if z in self.singular_z:
+                z = phi_ if z == plo else plo
+            on = np.flatnonzero((t[:-1] >= plo) & (t[1:] <= phi_))
+            i, part = self._local(np.array([z]))
+            k, rise = int(np.searchsorted(on, i[0])), sums[0, on]
+            base[on] = np.concatenate([-np.cumsum(rise[:k][::-1])[::-1], [0.0],
+                                       np.cumsum(rise[k:-1])]) - part[0]
+
+    def _local(self, z):
+        """Panel of each height z (flat) and K's rise across it up to z."""
+        t, _, coef, _ = self._table
+        i = np.clip(np.searchsorted(t, z) - 1, 0, t.size - 2)
+        half = 0.5 * (t[i + 1] - t[i])
+        return i, half * legval_rows(coef[i].T, (z - t[i]) / half - 1.0)
 
     def _K(self, u, w, c):
-        nodes, vals, kv = self._table
-        z = np.atleast_1d(np.asarray(u, dtype=float))
-        i = np.clip(np.searchsorted(nodes, z) - 1, 0, nodes.size - 2)
-        h = nodes[i + 1] - nodes[i]
-        t = np.clip((z - nodes[i]) / h, 0.0, 1.0)
-        out = hermite(t, h, vals[i], kv[i], vals[i + 1], kv[i + 1])
-        out = np.where((z < nodes[0]) | (z > nodes[-1]), np.nan, out)
-        return (out if out.size > 1 else out.reshape(())) + c
+        z = np.asarray(u, dtype=float)
+        i, part = self._local(z.ravel())
+        K = np.where((z.ravel() < self.domain[0]) | (z.ravel() > self.domain[1]),
+                     np.nan, self._table[1][i] + part + c)
+        return K.reshape(z.shape)
 
     def _kap(self, u, w):
-        return self.kappa_fn(u)
+        u = np.asarray(u, dtype=float)  # kappa_fn may return a scalar
+        kv = np.asarray(self.kappa_fn(u.ravel()), dtype=float)
+        return np.broadcast_to(kv, (u.size,)).reshape(u.shape)
+
+    def _touches(self, pole, c):
+        # relative to the end panel's K polynomial, as for polynomial laws
+        t, base, coef, _ = self._table
+        i = 0 if pole < 0.0 else t.size - 2
+        terms = np.append(0.5 * (t[i + 1] - t[i]) * coef[i] * pole ** np.arange(16), base[i] + c)
+        return pole in self.domain and abs(terms.sum()) <= _CONTACT_COEF_TOL * (
+            1.0 + np.abs(terms).sum())
+
+    def _pieces(self, c):
+        t, base, coef, pieces = self._table
+        a, b = t[:-1], t[1:]
+        half = 0.5 * (b - a)
+        z = (a + half)[:, None] + half[:, None] * _CHEB31
+        K = base[:, None] + c + half[:, None] * (coef @ _LEG_CHEB31.T)
+        w2, K2 = (1.0 - z) * (1.0 + z), K * K
+        cheb = (w2 - K2) @ _CHEB31_COEF.T
+        # |c0| > sum |ck| keeps a Chebyshev series off zero on its panel;
+        # coefficients below the rounding of the sampled values are dropped
+        live = np.abs(cheb[:, 0]) <= np.abs(cheb[:, 1:]).sum(axis=1)
+        trim = 8e-16 * (np.abs(w2) + K2).max(axis=1)
+        return [(plo, phi_, lambda z: (1.0 - z) * (1.0 + z) - self._K(z, None, c) ** 2, [
+            (a[i], b[i], Chebyshev(np.polynomial.chebyshev.chebtrim(cheb[i], trim[i]),
+                                   domain=[a[i], b[i]]))
+            for i in np.flatnonzero(live & (a >= plo) & (b <= phi_))])
+            for plo, phi_ in pieces]
 
 
 def _finite(name, value):
@@ -401,7 +478,11 @@ def clelia_law(n: float) -> CurvatureLaw:
 
 
 def custom_law(kappa, domain=(-1.0, 1.0), singular_z=()) -> CurvatureLaw:
-    """Wrap an arbitrary callable kappa(z) (must accept numpy arrays)."""
+    """Wrap an arbitrary callable kappa(z) (must accept numpy arrays).
+
+    K = c at each smooth piece's point nearest 0 (the pieces lie between
+    the domain ends and singular_z), or at its far end if that is singular.
+    """
     lo, hi = float(domain[0]), float(domain[1])
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError("domain must be a subinterval of [-1, 1]")
@@ -478,9 +559,9 @@ class MomentumLaw:
         """Longitude rate -M(phi) / cos^2(phi), cancellation-free at contacts.
 
         Where the momentum vanishes at a touched pole the matching factor
-        of cos^2 is divided out analytically, so smooth pole passages get
-        a finite rate; spiraling contacts evaluate to +-inf exactly at
-        the pole, which is the honest limit.
+        of cos^2 is divided out (CurvatureLaw._rate), so smooth pole
+        passages get a finite rate; spiraling contacts evaluate to +-inf
+        exactly at the pole, which is the honest limit.
         """
         return _at_phi(phi, self.law._rate, self.c)
 
@@ -519,139 +600,46 @@ class AdmissibleInterval:
         return (self.lo_kind != OPEN_BOUNDARY) and (self.hi_kind != OPEN_BOUNDARY)
 
 
-def _bisect_root(P, lo, hi, f_lo_pos):
-    """Root of P in (lo, hi) where the P > 0 flag flips; NaN counts negative."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        v = P(mid)
-        mid_pos = math.isfinite(v) and v > 0.0
-        if mid_pos == f_lo_pos:
-            lo = mid
+def _same_root(N, a, b):
+    """Whether N stays within its rounding between a and b: |N| at their
+    midpoint against the relative slack times the sum of its |terms|."""
+    m = 0.5 * (a + b)
+    c = np.abs(N.coef)
+    return abs(N(m)) <= _CONTACT_COEF_TOL * (
+        polyval(abs(m), c) if isinstance(N, Polynomial) else c.sum())
+
+
+def _roots(N, za, zb):
+    """Real roots of the series N in [za, zb] as ascending [z, multiplicity,
+    N in floats].  A power series' exactly-zero low coefficients give z = 0
+    its multiplicity; roots (or a complex pair's real part) with N within
+    rounding between them merge into one at their mean, and a simple root
+    is polished once by Newton, on the exact N if its coefficients are
+    Fractions."""
+    Nf = type(N)(N.coef.astype(float), domain=N.domain)
+    k = 0
+    while isinstance(N, Polynomial) and k < N.coef.size - 1 and N.coef[k] == 0:
+        k += 1
+    r = type(N)(Nf.coef[k:], domain=N.domain).roots()
+    # polyval, as N(x) would take x through floats
+    at = (lambda x: float(polyval(Fraction(x), N.coef))) if N.coef.dtype == object else Nf
+
+    def polish(x):
+        with np.errstate(all="ignore"):
+            y = x - at(x) / Nf.deriv()(x)
+        return y if math.isfinite(y) and abs(at(y)) < abs(at(x)) else x
+
+    pair = [x for x in r.real[r.imag > 0.0] if _same_root(Nf, x, x)]
+    groups = []
+    for x in sorted([0.0] * k + r.real[r.imag == 0.0].tolist() + pair + pair):
+        if groups and _same_root(Nf, groups[-1][-1], x):
+            groups[-1].append(x)
         else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(K, x, lo, hi):
-    for _ in range(8):
-        p = K.P(x)
-        d = K.dP(x)
-        if not (math.isfinite(p) and math.isfinite(d)) or d == 0.0:
-            break
-        step = p / d
-        x2 = x - step
-        if not lo <= x2 <= hi:
-            break
-        x = x2
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _double_roots(K, grid, Pv, pos):
-    """Interior double zeros of P inside positive runs, via dP bisection."""
-    found = []
-    n = grid.size
-    if n < 5:
-        return found
-    Pmax = float(np.nanmax(np.where(pos, Pv, -np.inf)))
-    if not math.isfinite(Pmax) or Pmax <= 0.0:
-        return found
-    with np.errstate(all="ignore"):
-        dPv = np.asarray(K.dP(grid), dtype=float)
-    # a double zero is a local minimum of P, so P' turns from negative to
-    # positive across the grid neighbours; this holds however small P is
-    # near it, and a law with P' = 0 throughout offers no candidates
-    cand = np.zeros(n, dtype=bool)
-    cand[1:-1] = (pos[1:-1] & pos[:-2] & pos[2:]
-                  & (Pv[1:-1] <= Pv[:-2]) & (Pv[1:-1] <= Pv[2:])
-                  & (dPv[:-2] < 0.0) & (dPv[2:] > 0.0))
-    for i in np.flatnonzero(cand):
-        a, b = grid[i - 1], grid[i + 1]
-        fa = dPv[i - 1]
-        for _ in range(120):
-            m = 0.5 * (a + b)
-            fm = K.dP(m)
-            if not math.isfinite(fm):
-                break
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if b - a <= 1e-15 * max(1.0, abs(m)):
-                break
-        x = 0.5 * (a + b)
-        if abs(K.P(x)) <= 1e-12 * max(1.0, Pmax):
-            found.append(float(x))
-    return found
-
-
-def _scan_piece(K: MomentumLaw, plo: float, phi_: float, n_grid: int):
-    grid = np.linspace(plo, phi_, n_grid)
-    with np.errstate(all="ignore"):
-        Pv = np.asarray(K.P(grid), dtype=float)
-    Pv = np.where(np.isfinite(Pv), Pv, -np.inf)
-    pos = Pv > 0.0
-    if not pos.any():
-        return []
-
-    dbl = _double_roots(K, grid, Pv, pos)
-
-    # breakpoints: piece edges, sign-change roots, interior double zeros
-    cuts = []  # (z, kind) with kind one of the endpoint tags
-    trans = np.flatnonzero(pos[:-1] != pos[1:])
-
-    def classify_edge(e, inward):
-        if abs(e) == 1.0:
-            if abs(K.value(e)) <= _POLE_MOMENTUM_TOL:
-                return (e, POLE_PASSAGE)
-            return None  # P(e) < 0 strictly; a turning root lies inside
-        v = K.P(e)
-        if not math.isfinite(v):
-            # the declared edge can sit a rounding ulp outside the
-            # representable domain; probe just inside instead
-            v = K.P(e + inward * 1e-12 * (1.0 + abs(e)))
-        if math.isfinite(v) and v > 0.0:
-            return (e, OPEN_BOUNDARY)
-        if math.isfinite(v) and v == 0.0:
-            return (e, TURNING_POINT)
-        return None
-
-    for i in trans:
-        root = _bisect_root(K.P, float(grid[i]), float(grid[i + 1]), bool(pos[i]))
-        root = _newton_polish(K, root, float(grid[i]), float(grid[i + 1]))
-        cuts.append((float(root), TURNING_POINT))
-    for x in dbl:
-        cuts.append((x, OPEN_BOUNDARY))
-    for e, inward in ((plo, 1.0), (phi_, -1.0)):
-        tagged = classify_edge(e, inward)
-        if tagged is not None:
-            cuts.append(tagged)
-
-    cuts.sort(key=lambda t: t[0])
-    # merge near-duplicate cuts: a turning root bisected into a pole or
-    # domain edge is the same feature, and the edge classification wins
-    rank = {POLE_PASSAGE: 2, OPEN_BOUNDARY: 1, TURNING_POINT: 0}
-    merged = []
-    for z, kind in cuts:
-        if merged and z - merged[-1][0] <= 1e-9:
-            zp, kp = merged[-1]
-            if rank[kind] > rank[kp]:
-                merged[-1] = (z, kind)
-            continue
-        merged.append((z, kind))
-    # walk consecutive cut pairs; keep those with P > 0 in between
-    out = []
-    for (za, ka), (zb, kb) in zip(merged[:-1], merged[1:]):
-        mid = 0.5 * (za + zb)
-        v = K.P(mid)
-        if math.isfinite(v) and v > 0.0:
-            out.append(AdmissibleInterval(za, zb, ka, kb))
-    return out
+            groups.append([x])
+    out = [[float(polish(g[0]) if len(g) == 1 else sum(g) / len(g)), len(g), Nf]
+           for g in groups]
+    slack = 1e-15 * (zb - za)
+    return [x for x in out if za - slack <= x[0] <= zb + slack]
 
 
 def _spiral_ends(K: MomentumLaw, iv: AdmissibleInterval):
@@ -701,34 +689,54 @@ def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
     return 2.0 * float(sums.sum())
 
 
-def admissible_intervals(K: MomentumLaw, n_grid: int = 4096,
-                         with_period: bool = True):
+def _match_integrand(K: MomentumLaw, cuts, pos):
+    """Each interior turning point moved to the innermost of itself and its
+    two float neighbours where P, as the arc integrand computes it from K,
+    is not positive (if any is): the ends are where that P stops being
+    positive.  pos flags the admissible gaps between the cuts."""
+    for i in range(1, len(cuts) - 1):
+        z, kind = cuts[i][:2]
+        if kind == TURNING_POINT and (pos[i - 1] or pos[i]):
+            inward = np.inf if pos[i] else -np.inf
+            cand = np.array([np.nextafter(z, -inward), z, np.nextafter(z, inward)])
+            off = np.flatnonzero(~(np.asarray(K.P(cand)) > 0.0))
+            if off.size:
+                cuts[i][0] = float(cand[off[-1]])
+
+
+def admissible_intervals(K: MomentumLaw, with_period: bool = True):
     """All maximal z-intervals where the law admits motion, ascending.
 
-    Scans P on a uniform grid per smooth piece of the domain (split at
-    the law's interior singularities), refines once dyadically if any
-    feature looks under-resolved, classifies every endpoint, and fills
-    in the oscillation period for fully reflecting intervals.
+    On each smooth piece of the domain (split at the law's interior
+    singularities) the ends come from the real roots of P's numerator N:
+    a simple root is a turning point, a multiple one an asymptotic open
+    boundary, a pole where K vanishes a pole passage, and a piece edge
+    with P > 0 an open boundary.  Fills in the oscillation period for
+    fully reflecting intervals.
     """
-    lo = max(K.law.domain[0], -1.0)
-    hi = min(K.law.domain[1], 1.0)
-    edges = [lo] + [z for z in K.law.singular_z if lo < z < hi] + [hi]
     result = []
-    for plo, phi_ in zip(edges[:-1], edges[1:]):
-        ivs = _scan_piece(K, plo, phi_, n_grid)
-        narrow = any(iv.width < 3.0 * (phi_ - plo) / n_grid for iv in ivs)
-        if narrow:
-            ivs = _scan_piece(K, plo, phi_, 2 * n_grid)
-        result.extend(ivs)
-    result.sort(key=lambda iv: iv.z_lo)
+    for plo, phi_, N, panels in K.law._pieces(K.c):
+        roots = []
+        for r in sorted((r for za, zb, S in panels for r in _roots(S, za, zb)),
+                        key=lambda r: r[0]):
+            if roots and _same_root(roots[-1][2], roots[-1][0], r[0]):
+                roots[-1][1] = max(roots[-1][1], r[1])  # found from both panels
+            else:
+                roots.append(r)
+        cuts = [[plo, OPEN_BOUNDARY], *([z, TURNING_POINT if m == 1 else OPEN_BOUNDARY, S]
+                                        for z, m, S in roots), [phi_, OPEN_BOUNDARY]]
+        for e, j in ((0, 1), (-1, -2)):  # a root rounding away from an edge is the edge's
+            if len(cuts) > 2 and abs(cuts[j][0] - cuts[e][0]) <= 8.0 * np.spacing(1.0):
+                cuts[e][1] = cuts.pop(j)[1]
+            if abs(cuts[e][0]) == 1.0 and K.law._touches(cuts[e][0], K.c):
+                cuts[e][1] = POLE_PASSAGE
+        pos = np.asarray(N(np.array([0.5 * (a[0] + b[0]) for a, b in zip(cuts, cuts[1:])]))) > 0.0
+        _match_integrand(K, cuts, pos)
+        result += [AdmissibleInterval(a[0], b[0], a[1], b[1])
+                   for a, b, p in zip(cuts, cuts[1:], pos) if p]
     if with_period:
-        result = [
-            AdmissibleInterval(
-                iv.z_lo, iv.z_hi, iv.lo_kind, iv.hi_kind,
-                _interval_period(K, iv) if iv.closed() else None,
-            )
-            for iv in result
-        ]
+        result = [replace(iv, period_s=_interval_period(K, iv)) if iv.closed() else iv
+                  for iv in result]
     return result
 
 

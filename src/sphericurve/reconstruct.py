@@ -455,6 +455,19 @@ class _Motion:
         seg = np.searchsorted(self.ev_s, s, side="right")
         return t, seg, z, _phi_extended(self.seg_m[seg], z)
 
+    def _offsets(self, step):
+        """c_k - c_i0 per segment from the steps c_(k+1) - c_k, summed outward
+        from the gauge segment i0.  Between closed ends the steps repeat every
+        4 events, so there c_k = c_(i0 + k mod 4) + floor(k / 4) D (k from i0,
+        D the drift over 4 events): rounding does not grow with the window."""
+        i0 = self.i0
+        c = np.concatenate([-np.cumsum(step[:i0][::-1])[::-1], [0.0],
+                            np.cumsum(step[i0:])])
+        if self.lo_closed and self.hi_closed and c.size > i0 + 4:
+            k = np.arange(c.size) - i0
+            c = c[i0 + k % 4] + (k // 4) * c[i0 + 4]
+        return c
+
     def longitude(self, s, t, seg, lambda0):
         """Longitude at sorted attainable arc values s, and the indices of
         samples sitting on a spiral contact.
@@ -482,9 +495,8 @@ class _Motion:
                 "inside one step"
             )
         e = self.ev_hi.astype(int)
-        c = np.concatenate([[0.0], np.cumsum(sig[:-1] * leg.join[par[:-1], e]
-                                             - sig[1:] * leg.join[par[1:], e])])
-        c += lambda0 - c[self.i0] - sig[self.i0] * leg.lam_of(
+        c = self._offsets(sig[:-1] * leg.join[par[:-1], e] - sig[1:] * leg.join[par[1:], e])
+        c += lambda0 - sig[self.i0] * leg.lam_of(
             np.array([self.S0]), np.array([self.t0]), np.zeros(1, dtype=int))[0]
         lam = c[seg] + sig[seg] * leg.lam_of(
             self._fold(self.S0 + self.d0 * s), t, par[seg])

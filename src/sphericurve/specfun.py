@@ -4,15 +4,18 @@ Everything here uses the modulus convention: ``p`` is the modulus itself,
 so complete_K(p) = int_0^{pi/2} dt / sqrt(1 - p^2 sin^2 t).  Callers that
 carry a parameter m = p^2 must take the square root themselves.
 
-All routines are scalar.  They propagate NaN inputs to NaN outputs and
-raise ValueError on domain violations (p outside [0, 1], or an incomplete
-integral of the first kind evaluated at or beyond its p = 1 divergence).
+All routines are scalar, except that jacobi also takes an array of
+arguments.  They propagate NaN inputs to NaN outputs and raise ValueError
+on domain violations (p outside [0, 1], or an incomplete integral of the
+first kind evaluated at or beyond its p = 1 divergence).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 _AGM_REL_TOL = 1e-15
 _AGM_MAX_ITER = 60
@@ -161,39 +164,41 @@ def incomplete_E(phi: float, p) -> float:
     return E
 
 
-def jacobi(u: float, p) -> JacobiTriple:
+def jacobi(u, p) -> JacobiTriple:
     """Jacobi elliptic functions sn, cn, dn and amplitude am at argument u.
 
     Computed by the descending AGM transformation; the amplitude is
     recovered by back-substitution, so am(F(phi, p), p) = phi on the
     fundamental branch and sn = sin(am), cn = cos(am) hold identically.
     dn is evaluated as sqrt(cn^2 + p'^2 sn^2), which keeps
-    dn^2 + p^2 sn^2 = 1 exact near dn's minimum.
+    dn^2 + p^2 sn^2 = 1 exact near dn's minimum.  u may be an array: the
+    AGM chain is built once for the modulus and the recursion runs
+    elementwise, giving arrays shaped like u; a scalar u gives floats.
     """
     m = _as_modulus(p)
-    u = float(u)
-    if math.isnan(u) or math.isnan(m.p):
-        return JacobiTriple(math.nan, math.nan, math.nan, math.nan)
+    x = np.asarray(u, dtype=float)
+    if math.isnan(m.p):
+        x = np.full(x.shape, math.nan)
     if m.p == 0.0:
-        return JacobiTriple(math.sin(u), math.cos(u), 1.0, u)
-    if m.p == 1.0:
-        sech = 1.0 / math.cosh(u)
-        return JacobiTriple(math.tanh(u), sech, sech, math.atan(math.sinh(u)))
+        out = (np.sin(x), np.cos(x), 1.0 + 0.0 * x, x)
+    elif m.p == 1.0:
+        sech = 1.0 / np.cosh(x)
+        out = (np.tanh(x), sech, sech, np.arctan(np.sinh(x)))
+    else:
+        a, b, c = _agm_chain(m.p, m.p_prime)
+        n_levels = len(a) - 1
+        K = math.pi / (2.0 * a[-1])
 
-    a, b, c = _agm_chain(m.p, m.p_prime)
-    n_levels = len(a) - 1
-    K = math.pi / (2.0 * a[-1])
+        # reduce modulo the 4K period of sn/cn; am gains 2*pi per period
+        cycles = np.floor((x + 2.0 * K) / (4.0 * K))
+        ph = (2.0 ** n_levels) * a[-1] * (x - 4.0 * K * cycles)
+        for k in range(n_levels, 0, -1):
+            ph = 0.5 * (ph + np.arcsin(np.clip(c[k] / a[k] * np.sin(ph), -1.0, 1.0)))
 
-    # reduce modulo the 4K period of sn/cn; am gains 2*pi per period
-    cycles = math.floor((u + 2.0 * K) / (4.0 * K))
-    ur = u - 4.0 * K * cycles
-
-    ph = (2.0 ** n_levels) * a[-1] * ur
-    for k in range(n_levels, 0, -1):
-        t = c[k] / a[k] * math.sin(ph)
-        ph = 0.5 * (ph + math.asin(max(-1.0, min(1.0, t))))
-
-    sn = math.sin(ph)
-    cn = math.cos(ph)
-    dn = math.sqrt(cn * cn + (m.p_prime * sn) * (m.p_prime * sn))
-    return JacobiTriple(sn, cn, dn, ph + 2.0 * math.pi * cycles)
+        sn = np.sin(ph)
+        cn = np.cos(ph)
+        dn = np.sqrt(cn * cn + (m.p_prime * sn) * (m.p_prime * sn))
+        out = (sn, cn, dn, ph + 2.0 * math.pi * cycles)
+    if x.ndim == 0:
+        return JacobiTriple(*(float(v) for v in out))
+    return JacobiTriple(*out)

@@ -25,7 +25,7 @@ from sphericurve.laws import (
     sn_family_law,
     viviani_law,
 )
-from sphericurve.families import closed_form, family_law
+from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.oracle import frenet_integrate, initial_state
 from sphericurve.reconstruct import ReconstructionConfig, reconstruct
 
@@ -273,6 +273,110 @@ class TestNearDegenerateDoubleRoot:
             orc = frenet_integrate(K.law, init, 20.0, 1e-3, n_samples=401)
             gap = np.linalg.norm(orc.xi - tr.xi, axis=1)
             assert np.max(gap) < 1e-6, a
+
+
+class TestExactProfile:
+    """P = N / D from each law's polynomials, and the scan built on them."""
+
+    def test_N_over_D_is_P(self):
+        for name in family_names():
+            K = family_law(name)
+            N, D = K.law._profile(K.c)
+            N = np.polynomial.Polynomial(N.coef.astype(float))
+            D = np.polynomial.Polynomial(D.coef.astype(float))
+            lo, hi = K.law.domain
+            z = np.linspace(lo, hi, 41)[1:-1]
+            z = z[np.abs(z) > 1e-3]  # the catenary's D vanishes at z = 0
+            assert np.all(D(z) > 0.0), name
+            assert np.max(np.abs(N(z) / D(z) - K.P(z))) < 1e-13, name
+
+    def test_scan_evaluates_K_at_few_points(self, monkeypatch):
+        # the ends come from N's roots, not from a grid of K values
+        for name in family_names():
+            K = family_law(name)
+            law_cls = type(K.law)
+            orig = law_cls._K
+            seen = []
+
+            def counting(self, u, w, c, orig=orig, seen=seen):
+                seen.append(np.size(u))
+                return orig(self, u, w, c)
+            monkeypatch.setattr(law_cls, "_K", counting)
+            admissible_intervals(K, with_period=False)
+            monkeypatch.undo()
+            assert sum(seen) <= 64, (name, sum(seen))
+
+    @pytest.mark.parametrize("a", [0.5001, 0.501])
+    def test_borderline_ends_to_the_ulp(self, a):
+        lo, hi = admissible_intervals(family_law("borderline", {"a": a}),
+                                      with_period=False)
+        amp = math.sqrt(2.0 * a - 1.0) / a
+        assert abs(lo.z_lo + amp) <= 2.0 * math.ulp(amp)
+        assert abs(hi.z_hi - amp) <= 2.0 * math.ulp(amp)
+        assert lo.z_hi == 0.0 and hi.z_lo == 0.0
+
+
+def _custom_copies():
+    """(name, built-in K, custom copy with matching c, z0, s_span)."""
+    a, r = 0.857, math.sqrt(0.5)
+    return [
+        ("constant", antiderivative(constant_law(1.2), 0.4),
+         antiderivative(custom_law(lambda z: 1.2 + 0.0 * z), 0.4), 0.0, 4.0),
+        ("elastica", antiderivative(linear_elastica_law(0.8, 0.3), 0.1),
+         antiderivative(custom_law(lambda z: 1.6 * z + 0.3), 0.1), 0.0, 4.0),
+        ("borderline", family_law("borderline", {"a": a}),
+         antiderivative(custom_law(lambda z: 2.0 * a * z), -1.0), 0.5, 4.0),
+        # one c anchors each catenary branch: K(1) = -a above, K(-1) = a below
+        ("catenary upper", family_law("catenary", {"a": 0.3}),
+         antiderivative(custom_law(lambda z: 0.3 / z ** 2, singular_z=(0.0,)), -0.3),
+         r, 3.0),
+        ("catenary lower", family_law("catenary", {"a": 0.3}),
+         antiderivative(custom_law(lambda z: 0.3 / z ** 2, singular_z=(0.0,)), 0.3),
+         -r, 3.0),
+        ("loxo-one", family_law("loxo-one", {"a": 0.5}),
+         antiderivative(custom_law(lambda z: z / np.sqrt(0.5 - z * z), domain=(-r, r)), -r),
+         0.0, 1.6),
+    ]
+
+
+class TestCustomLaw:
+    @pytest.mark.parametrize("name,K_law,K_cust,z0,span",
+                             [pytest.param(*row, id=row[0]) for row in _custom_copies()])
+    def test_copy_matches_built_in(self, name, K_law, K_cust, z0, span):
+        with np.errstate(divide="ignore"):
+            want = admissible_intervals(K_law, with_period=False)
+            got = admissible_intervals(K_cust, with_period=False)
+        if name.startswith("catenary"):
+            # only the anchored branch is the built-in's
+            want, got = ([iv for iv in ivs if iv.z_lo < z0 < iv.z_hi] for ivs in (want, got))
+        assert [(iv.lo_kind, iv.hi_kind) for iv in got] == \
+            [(iv.lo_kind, iv.hi_kind) for iv in want]
+        for w, g in zip(want, got):
+            assert abs(g.z_lo - w.z_lo) <= 1e-12 and abs(g.z_hi - w.z_hi) <= 1e-12
+        cfg = ReconstructionConfig(s_span=span, n_samples=801, z0=z0)
+        tw = reconstruct(K_law, cfg, interval=next(iv for iv in want if iv.z_lo < z0 < iv.z_hi))
+        tg = reconstruct(K_cust, cfg, interval=next(iv for iv in got if iv.z_lo < z0 < iv.z_hi))
+        assert np.max(np.abs(tg.xi - tw.xi)) <= 1e-10
+
+    def test_momentum_of_a_quadratic(self):
+        c = -0.1
+        K = antiderivative(custom_law(lambda z: 0.3 + 0.2 * z * z), c)
+        z = np.linspace(-1.0, 1.0, 201)
+        assert np.max(np.abs(K.value(z) - (c + 0.3 * z + 0.2 * z ** 3 / 3.0))) <= 5.6e-15
+
+    def test_through_a_pole(self):
+        # K = 0.3 (z - 1) vanishes at the north pole; the longitude rate
+        # there is 0.3 / (1 + z), with the factor 1 - z divided out
+        for law in (custom_law(lambda z: 0.3), constant_law(0.3)):
+            K = antiderivative(law, -0.3)
+            assert K.lambda_rate_phi(math.pi / 2.0) == pytest.approx(0.15, rel=1e-14)
+            iv = next(iv for iv in admissible_intervals(K) if iv.z_lo < 0.0 < iv.z_hi)
+            assert iv.hi_kind == POLE_PASSAGE and iv.z_hi == 1.0
+            tr = reconstruct(K, ReconstructionConfig(s_span=9.0, n_samples=901, z0=0.0),
+                             interval=iv)
+            orc = frenet_integrate(K.law, initial_state(K, z0=0.0, interval=iv),
+                                   9.0, 1e-3, n_samples=901)
+            assert np.max(np.linalg.norm(orc.xi - tr.xi, axis=1)) <= 1e-10, law.kind
 
 
 class TestScalarKappa:

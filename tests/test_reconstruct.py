@@ -447,6 +447,14 @@ class TestWholeLegs:
         assert np.max(np.abs(tr.z - xi_cf[:, 2])) < 1e-6
         assert np.max(np.abs(tr.lam - lam_cf)) < 1e-6
 
+    def test_longitude_does_not_drift_on_a_long_window(self):
+        # Seiffert lambda - lambda0 = p s exactly; 80 000 z-periods into the
+        # window the longitude is still within a few ulps of it
+        p = 0.7
+        tr = reconstruct(family_law("seiffert", {"p": p}),
+                         _cfg(6e5, n=2001, z0=0.0, dz_sign0=-1))
+        assert np.max(np.abs(tr.lam - p * tr.s)) <= 4.0 * np.spacing(np.max(np.abs(tr.lam)))
+
 
 class TestDefaultInterval:
     def test_double_root_tie_is_not_decided_by_rounding(self):

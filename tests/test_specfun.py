@@ -98,6 +98,19 @@ class TestSpecialArguments:
             math.atanh(math.sin(0.6)), rel=1e-14
         )
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 0.999, 1.0])
+    def test_jacobi_on_arrays_matches_scalar_calls(self, p):
+        # the AGM chain is shared, the recursion runs elementwise; the
+        # scalar loop is the reference, to 2 ulps
+        u = np.linspace(-30.0, 30.0, 400).reshape(20, 20)
+        arr = jacobi(u, p)
+        for name in ("sn", "cn", "dn", "am"):
+            got = getattr(arr, name)
+            want = np.vectorize(lambda x: getattr(jacobi(float(x), p), name))(u)
+            assert got.shape == u.shape
+            assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.maximum(np.abs(want), 1.0)))
+        assert all(type(v) is float for v in vars(jacobi(0.4, p)).values())
+
     def test_jacobi_degenerate_moduli(self):
         for u in (-1.7, 0.0, 0.4, 2.2):
             j0 = jacobi(u, 0.0)
