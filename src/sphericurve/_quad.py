@@ -42,22 +42,21 @@ def gauss_adaptive(f, nodes, tol: float):
     """Integrate the columns of f over each interval between ascending nodes.
 
     f(t) takes a flat array and returns the integrand columns, shaped
-    (k, t.size), and each point's roundoff share.  Panels are split at
-    their midpoints, all new ones evaluated in one call, until every
-    column passes |GL15 - GL7| and its Gauss polynomial's left-half
-    integral matches the left half's GL15, against tol or, where larger,
-    the roundoff the shares explain; a panel narrower than 1e-6 or 40
-    levels deep is accepted as it is.  Returns the accepted panels in
-    order: their edges (every node among them), the Legendre coefficients
-    on [-1, 1] of each column's cumulative polynomial (k, panels, 16),
-    the panel sums (k, panels) and the first column's |GL15 - GL7|.
+    (k, t.size).  Panels are split at their midpoints, all new ones
+    evaluated in one call, until every column passes |GL15 - GL7| and its
+    Gauss polynomial's left-half integral matches the left half's GL15,
+    both against tol; a panel narrower than 1e-6 or 40 levels deep is
+    accepted as it is.  Returns the accepted panels in order: their edges
+    (every node among them), the Legendre coefficients on [-1, 1] of each
+    column's cumulative polynomial (k, panels, 16), the panel sums
+    (k, panels) and the first column's |GL15 - GL7|.
     """
     nodes = np.asarray(nodes, dtype=float)
     a, b = nodes[:-1], nodes[1:]
     done = []
     for level in range(41):
         n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
-        cols, share = f(np.concatenate([
+        cols = f(np.concatenate([
             (mid[:, None] + half[:, None] * _X15[None, :]).ravel(),
             (mid[:, None] + half[:, None] * _X7[None, :]).ravel(),
             (0.5 * (a + mid)[:, None] + 0.5 * half[:, None] * _X15[None, :]).ravel()]))
@@ -68,11 +67,7 @@ def gauss_adaptive(f, nodes, tol: float):
         i15l = 0.5 * half * (y15l @ _W15)
         coef = y15 @ _INT15.T
         err = np.abs(i15 - i7)
-        # refinement cannot resolve below the roundoff carried by the
-        # integrand; estimate that noise per panel and accept once it dominates
-        tol_eff = np.maximum(tol, 4.0 * np.abs(half) * (
-            (np.abs(y15) * share[:15 * n].reshape(n, 15)) @ _W15))
-        miss = (err > tol_eff) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol_eff)
+        miss = (err > tol) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol)
         split = miss.any(axis=0) & ((b - a) > 1e-6) & (level < 40)
         done.append((a[~split], coef[:, ~split], i15[:, ~split], err[0, ~split]))
         if not split.any():

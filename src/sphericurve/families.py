@@ -364,8 +364,7 @@ def _make_catenary(q):
         s = np.asarray(s, dtype=float)
         flat = s.ravel()
         grid = np.unique(np.concatenate([flat, [0.0]]))
-        edges, _, sums, _ = gauss_adaptive(
-            lambda t: (rate(t)[None], np.zeros_like(t)), grid, 1e-13)
+        edges, _, sums, _ = gauss_adaptive(lambda t: rate(t)[None], grid, 1e-13)
         cum = np.concatenate([[0.0], np.cumsum(sums[0])])
         cum = cum - cum[np.searchsorted(edges, 0.0)]
         lam = cum[np.searchsorted(edges, flat)].reshape(s.shape)

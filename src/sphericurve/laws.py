@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.chebyshev import chebdiv, chebtrim
+from numpy.polynomial.polynomial import polydiv, polyval
 
 from ._fd import check_uniform, deriv1
 from ._quad import gauss_adaptive, legval_rows
@@ -132,13 +134,12 @@ class CurvatureLaw:
         return pole in self.domain and abs(self._K(pole, 0.0, c)) <= _CONTACT_COEF_TOL
 
     def _pieces(self, c):
-        """Per smooth piece of the domain (lo, hi, N, panels): N evaluates
-        P's numerator there, and the panels (za, zb, series in z) cover
-        its every root."""
-        N = self._profile(c)[0]
-        Nf = Polynomial(N.coef.astype(float))
+        """Per smooth piece of the domain (lo, hi, N, D, panels): P = N / D
+        there, and the panels (za, zb, series of N in z) cover the piece."""
+        N, D = self._profile(c)
+        Nf, Df = Polynomial(N.coef.astype(float)), partial(_horner, D.coef.astype(float)[::-1])
         edges = self._edges()
-        return [(a, b, Nf, [(a, b, N)]) for a, b in zip(edges[:-1], edges[1:])]
+        return [(a, b, Nf, Df, [(a, b, N)]) for a, b in zip(edges[:-1], edges[1:])]
 
     def _edges(self):
         """Domain ends (within [-1, 1]) and interior singular heights, ascending."""
@@ -340,7 +341,7 @@ class _CustomLaw(CurvatureLaw):
             kv = np.broadcast_to(np.asarray(self.kappa(z), dtype=float), z.shape)
             if not np.isfinite(kv).all():
                 raise ValueError("custom law must be finite on the interior of its domain")
-            return kv[None], np.zeros(z.size)
+            return kv[None]
 
         # K to 1e-14, its panel rises summed outward from each piece's anchor
         t, coef, sums, _ = gauss_adaptive(col, edges, 1e-14)
@@ -391,14 +392,11 @@ class _CustomLaw(CurvatureLaw):
         K = base[:, None] + c + half[:, None] * (coef @ _LEG_CHEB31.T)
         w2, K2 = (1.0 - z) * (1.0 + z), K * K
         cheb = (w2 - K2) @ _CHEB31_COEF.T
-        # |c0| > sum |ck| keeps a Chebyshev series off zero on its panel;
         # coefficients below the rounding of the sampled values are dropped
-        live = np.abs(cheb[:, 0]) <= np.abs(cheb[:, 1:]).sum(axis=1)
         trim = 8e-16 * (np.abs(w2) + K2).max(axis=1)
-        return [(plo, phi_, lambda z: (1.0 - z) * (1.0 + z) - self._K(z, None, c) ** 2, [
-            (a[i], b[i], Chebyshev(np.polynomial.chebyshev.chebtrim(cheb[i], trim[i]),
-                                   domain=[a[i], b[i]]))
-            for i in np.flatnonzero(live & (a >= plo) & (b <= phi_))])
+        return [(plo, phi_, lambda z: 1.0 - z * z - self._K(z, None, c) ** 2, Polynomial([1.0]), [
+            (a[i], b[i], Chebyshev(chebtrim(cheb[i], trim[i]), domain=[a[i], b[i]]))
+            for i in np.flatnonzero((a >= plo) & (b <= phi_))])
             for plo, phi_ in pieces]
 
 
@@ -529,12 +527,7 @@ class MomentumLaw:
 
     def P(self, z):
         """Admissibility profile 1 - z^2 - K(z)^2."""
-        z = np.asarray(z, dtype=float)
-        K = self.value(z)
-        out = 1.0 - z * z - np.square(K)
-        if np.ndim(z) == 0:
-            return float(out)
-        return out
+        return _at_z(z, lambda u, w, c: 1.0 - u * u - self.law._K(u, w, c) ** 2, self.c)
 
     def dP(self, z):
         """P'(z) = -2 z - 2 K kappa, with the product kept cancellation-free."""
@@ -581,6 +574,10 @@ class AdmissibleInterval:
     law's domain at finite arc length, or approaches a double zero of P
     asymptotically).  period_s is the z-oscillation period when both ends
     reflect or pass, else None.
+
+    Its arc integrand reads P with the end roots divided out (private, from
+    admissible_intervals); an interval built by hand takes that of the
+    law's interval with its ends and kinds, or is rejected.
     """
 
     z_lo: float
@@ -588,6 +585,7 @@ class AdmissibleInterval:
     lo_kind: str
     hi_kind: str
     period_s: Optional[float] = None
+    _deflated: Optional[_Deflated] = field(default=None, repr=False, compare=False)
 
     @property
     def width(self) -> float:
@@ -598,6 +596,63 @@ class AdmissibleInterval:
 
     def closed(self) -> bool:
         return (self.lo_kind != OPEN_BOUNDARY) and (self.hi_kind != OPEN_BOUNDARY)
+
+
+@dataclass(frozen=True)
+class _Deflated:
+    """P = N / D over an admissible interval, N = (z - z_lo)^m_lo (z_hi - z)^m_hi Q.
+
+    m: each end's multiplicity as a root of N (0 at a domain edge); delta:
+    1 + z_lo and 1 - z_hi of the exact ends (1 -+ z is exact for |z| >= 1/2,
+    a Newton offset adds the rest); panels: (upper edge, Q, k) for a built-in
+    law's one panel or a custom law's K panels, Q > 0 evaluating a float series,
+    (ds/dt)^2 = (z - z_lo)^k_lo (z_hi - z)^k_hi D(z) / Q(z) on the panel."""
+
+    z_lo: float
+    z_hi: float
+    m: tuple
+    delta: tuple
+    D: Callable
+    panels: tuple
+
+    def arc_rate(self, t):
+        """ds/dt = r cos t / sqrt(P) at z = m + r sin t, z and cos^2(phi), from Q,
+        the pole distances and up = z - z_lo = 2 r cos^2 q, dn = z_hi - z =
+        2 r sin^2 q (q = pi/4 - t/2): nothing cancels near an end or a pole."""
+        m, r = 0.5 * (self.z_lo + self.z_hi), 0.5 * (self.z_hi - self.z_lo)
+        c, s = np.cos(q := 0.25 * np.pi - 0.5 * t), np.sin(q)
+        up, dn, z = r * (2.0 * c * c), r * (2.0 * s * s), m + r * ((c - s) * (c + s))
+        x = self.D(z)
+        i = np.searchsorted([p[0] for p in self.panels[:-1]], z) if len(self.panels) > 1 else 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for j, (_, Q, (k_lo, k_hi)) in enumerate(self.panels):
+                on = slice(None) if len(self.panels) == 1 else i == j
+                x[on] *= up[on] ** k_lo * dn[on] ** k_hi / Q(z[on])
+            return np.sqrt(x), z, (self.delta[0] + up) * (self.delta[1] + dn)
+
+    def arc(self, tol, t_a=-0.5 * math.pi, t_b=0.5 * math.pi):
+        """The arc length from t_a up to t_b, by gauss_adaptive to tol."""
+        return float(gauss_adaptive(lambda t: self.arc_rate(t)[0][None], [t_a, t_b], tol)[2].sum())
+
+
+def _deflate(lo, hi, D, panels):
+    """The _Deflated profile between the cuts lo and hi ([z, kind, m, exact
+    root - z]): each panel's series divided, in its own variable off + scl
+    z, by the factor of every end root it holds; the rounding remainder goes."""
+    out = []
+    for za, zb, S in panels:
+        if za < hi[0] and zb > lo[0]:
+            c, k, (off, scl) = S.coef.astype(float), [1, 1], S.mapparms()
+            div = chebdiv if isinstance(S, Chebyshev) else polydiv
+            for e, (end, sign) in enumerate(((lo, scl), (hi, -scl))):
+                if za - 1e-15 * (zb - za) <= end[0] <= zb + 1e-15 * (zb - za):
+                    for _ in range(end[2]):
+                        c = sign * div(c, [-(off + scl * end[0]), 1.0])[0]
+                        k[e] -= 1
+            Q = type(S)(c, domain=S.domain) if div is chebdiv else partial(_horner, c[::-1])
+            out.append((zb, Q, tuple(k)))
+    delta = (max(0.0, 1.0 + lo[0] + lo[3]), max(0.0, 1.0 - hi[0] - hi[3]))
+    return _Deflated(lo[0], hi[0], (lo[2], hi[2]), delta, D, tuple(out))
 
 
 def _same_root(N, a, b):
@@ -611,11 +666,13 @@ def _same_root(N, a, b):
 
 def _roots(N, za, zb):
     """Real roots of the series N in [za, zb] as ascending [z, multiplicity,
-    N in floats].  A power series' exactly-zero low coefficients give z = 0
-    its multiplicity; roots (or a complex pair's real part) with N within
-    rounding between them merge into one at their mean, and a simple root
-    is polished once by Newton, on the exact N if its coefficients are
-    Fractions."""
+    N in floats, exact root - z].  A power series' exactly-zero low
+    coefficients give z = 0 its multiplicity; roots (or a complex pair's
+    real part) with N within rounding between them merge into one at their
+    mean, and a simple root is polished once by Newton, on the exact N if
+    its coefficients are Fractions; -N/N' there is the offset."""
+    if isinstance(N, Chebyshev) and abs(N.coef[0]) > np.abs(N.coef[1:]).sum():
+        return []  # |c0| > sum |ck| keeps a Chebyshev series off zero on its panel
     Nf = type(N)(N.coef.astype(float), domain=N.domain)
     k = 0
     while isinstance(N, Polynomial) and k < N.coef.size - 1 and N.coef[k] == 0:
@@ -625,9 +682,13 @@ def _roots(N, za, zb):
     at = (lambda x: float(polyval(Fraction(x), N.coef))) if N.coef.dtype == object else Nf
 
     def polish(x):
+        nx, dN = at(x), Nf.deriv()
         with np.errstate(all="ignore"):
-            y = x - at(x) / Nf.deriv()(x)
-        return y if math.isfinite(y) and abs(at(y)) < abs(at(x)) else x
+            y = x - nx / dN(x)
+            if math.isfinite(y) and abs(ny := at(y)) < abs(nx):
+                x, nx = y, ny
+            off = float(-nx / dN(x))
+        return [float(x), 1, Nf, off if math.isfinite(off) else 0.0]
 
     pair = [x for x in r.real[r.imag > 0.0] if _same_root(Nf, x, x)]
     groups = []
@@ -636,8 +697,7 @@ def _roots(N, za, zb):
             groups[-1].append(x)
         else:
             groups.append([x])
-    out = [[float(polish(g[0]) if len(g) == 1 else sum(g) / len(g)), len(g), Nf]
-           for g in groups]
+    out = [polish(g[0]) if len(g) == 1 else [sum(g) / len(g), len(g), Nf, 0.0] for g in groups]
     slack = 1e-15 * (zb - za)
     return [x for x in out if za - slack <= x[0] <= zb + slack]
 
@@ -652,56 +712,14 @@ def _spiral_ends(K: MomentumLaw, iv: AdmissibleInterval):
             iv.hi_kind == POLE_PASSAGE and spirals(1.0))
 
 
-def _arc_rate(K: MomentumLaw, iv: AdmissibleInterval, t, spiral: bool):
-    """The arc integrand ds/dt = r cos t / sqrt(P) at z = m + r sin t over
-    iv, the share of P that is roundoff, z, and cos^2(phi) = 1 - z^2 (from
-    the half-angle form of 1 -+ sin t, relative accurate next to a pole).
-    With spiral (an end of iv is a spiral contact, where K ~ cos(phi)) K is
-    computed from z and that cos(phi), so P = cos^2 - K^2 keeps its accuracy."""
-    m = 0.5 * (iv.z_lo + iv.z_hi)
-    r = 0.5 * (iv.z_hi - iv.z_lo)
-    q = 0.25 * np.pi - 0.5 * t
-    omz = r * (2.0 * np.sin(q) ** 2) + (1.0 - m - r)
-    opz = r * (2.0 * np.cos(q) ** 2) + (1.0 + m - r)
-    z = m + r * np.sin(t)
-    w2 = omz * opz
-    noise = 5e-16 * w2 if spiral else 5e-16
-    with np.errstate(invalid="ignore", divide="ignore"):
-        Kv = K.law._K(z, np.sqrt(w2), K.c) if spiral else K.value(z)
-        # P carries this roundoff from the K^2 cancellation; flooring
-        # there keeps g bounded near the roots
-        P = np.maximum(w2 - Kv * Kv, noise)
-        return r * np.cos(t) / np.sqrt(P), np.minimum(0.5 * noise / P, 1.0), z, w2
-
-
-def _arc_column(K: MomentumLaw, iv: AdmissibleInterval):
-    """The arc integrand over iv as gauss_adaptive's one column."""
-    spiral = any(_spiral_ends(K, iv))
-
-    def f(t):
-        g, share, _, _ = _arc_rate(K, iv, t, spiral)
-        return g[None], share
-    return f
-
-
-def _interval_period(K: MomentumLaw, iv: AdmissibleInterval) -> float:
-    sums = gauss_adaptive(_arc_column(K, iv), [-math.pi / 2.0, math.pi / 2.0], 1e-12)[2]
-    return 2.0 * float(sums.sum())
-
-
-def _match_integrand(K: MomentumLaw, cuts, pos):
-    """Each interior turning point moved to the innermost of itself and its
-    two float neighbours where P, as the arc integrand computes it from K,
-    is not positive (if any is): the ends are where that P stops being
-    positive.  pos flags the admissible gaps between the cuts."""
-    for i in range(1, len(cuts) - 1):
-        z, kind = cuts[i][:2]
-        if kind == TURNING_POINT and (pos[i - 1] or pos[i]):
-            inward = np.inf if pos[i] else -np.inf
-            cand = np.array([np.nextafter(z, -inward), z, np.nextafter(z, inward)])
-            off = np.flatnonzero(~(np.asarray(K.P(cand)) > 0.0))
-            if off.size:
-                cuts[i][0] = float(cand[off[-1]])
+def _deflated(K: MomentumLaw, iv: AdmissibleInterval) -> _Deflated:
+    """iv's profile, else (built by hand) the law's interval's with iv's ends and kinds."""
+    if iv._deflated is None or (iv._deflated.z_lo, iv._deflated.z_hi) != (iv.z_lo, iv.z_hi):
+        iv = next((s for s in admissible_intervals(K, with_period=False)
+                   if replace(s, period_s=iv.period_s) == iv), None)
+        if iv is None:
+            raise ValueError("interval is not one of the law's admissible intervals")
+    return iv._deflated
 
 
 def admissible_intervals(K: MomentumLaw, with_period: bool = True):
@@ -715,7 +733,7 @@ def admissible_intervals(K: MomentumLaw, with_period: bool = True):
     fully reflecting intervals.
     """
     result = []
-    for plo, phi_, N, panels in K.law._pieces(K.c):
+    for plo, phi_, N, D, panels in K.law._pieces(K.c):
         roots = []
         for r in sorted((r for za, zb, S in panels for r in _roots(S, za, zb)),
                         key=lambda r: r[0]):
@@ -723,19 +741,22 @@ def admissible_intervals(K: MomentumLaw, with_period: bool = True):
                 roots[-1][1] = max(roots[-1][1], r[1])  # found from both panels
             else:
                 roots.append(r)
-        cuts = [[plo, OPEN_BOUNDARY], *([z, TURNING_POINT if m == 1 else OPEN_BOUNDARY, S]
-                                        for z, m, S in roots), [phi_, OPEN_BOUNDARY]]
+        # [z, kind, multiplicity as a root of N, exact root - z]
+        cuts = [[plo, OPEN_BOUNDARY, 0, 0.0],
+                *([z, TURNING_POINT if m == 1 else OPEN_BOUNDARY, m, off]
+                  for z, m, _, off in roots),
+                [phi_, OPEN_BOUNDARY, 0, 0.0]]
         for e, j in ((0, 1), (-1, -2)):  # a root rounding away from an edge is the edge's
             if len(cuts) > 2 and abs(cuts[j][0] - cuts[e][0]) <= 8.0 * np.spacing(1.0):
-                cuts[e][1] = cuts.pop(j)[1]
+                z, kind, m, off = cuts.pop(j)
+                cuts[e][1:] = kind, m, off + (z - cuts[e][0])
             if abs(cuts[e][0]) == 1.0 and K.law._touches(cuts[e][0], K.c):
                 cuts[e][1] = POLE_PASSAGE
         pos = np.asarray(N(np.array([0.5 * (a[0] + b[0]) for a, b in zip(cuts, cuts[1:])]))) > 0.0
-        _match_integrand(K, cuts, pos)
-        result += [AdmissibleInterval(a[0], b[0], a[1], b[1])
+        result += [AdmissibleInterval(a[0], b[0], a[1], b[1], _deflated=_deflate(a, b, D, panels))
                    for a, b, p in zip(cuts, cuts[1:], pos) if p]
     if with_period:
-        result = [replace(iv, period_s=_interval_period(K, iv)) if iv.closed() else iv
+        result = [replace(iv, period_s=2.0 * iv._deflated.arc(1e-12)) if iv.closed() else iv
                   for iv in result]
     return result
 

@@ -31,14 +31,10 @@ from .laws import (
     POLE_PASSAGE,
     AdmissibleInterval,
     MomentumLaw,
-    _arc_column,
-    _arc_rate,
+    _deflated,
     _spiral_ends,
     admissible_intervals,
 )
-
-# P at an open endpoint at or below this marks a double root (asymptote)
-_ASYMPTOTE_P_TOL = 1e-10
 
 # longitude tail within this arc distance of a spiraling pole contact is
 # integrated analytically from the 1/(s - s*) residue
@@ -132,12 +128,10 @@ class _Leg:
                  quad_tol: float, t0: float, need_arc: float):
         self.K = K
         self.iv = iv
+        self.prof = _deflated(K, iv)
         self.m = 0.5 * (iv.z_lo + iv.z_hi)
         self.r = 0.5 * (iv.z_hi - iv.z_lo)
-        self.asym_lo = (iv.lo_kind == OPEN_BOUNDARY
-                        and K.P(iv.z_lo) <= _ASYMPTOTE_P_TOL)
-        self.asym_hi = (iv.hi_kind == OPEN_BOUNDARY
-                        and K.P(iv.z_hi) <= _ASYMPTOTE_P_TOL)
+        self.asym_lo, self.asym_hi = (m >= 2 for m in self.prof.m)  # at multiple roots
         self.spiral = _spiral_ends(K, iv)
         self.trunc = (iv.lo_kind == OPEN_BOUNDARY and not self.asym_lo,
                       iv.hi_kind == OPEN_BOUNDARY and not self.asym_hi)
@@ -174,9 +168,8 @@ class _Leg:
     # -- construction ------------------------------------------------------
 
     def _columns(self, t):
-        """g, the longitude rate per parity (rows; 0 past a spiral cut) and
-        P's noise share."""
-        g, frac, z, w2 = _arc_rate(self.K, self.iv, t, any(self.spiral))
+        """g and the longitude rate per parity (rows; 0 past a spiral cut)."""
+        g, z, w2 = self.prof.arc_rate(t)
         # latitude from the cancellation-free cos, so 1/cos(phi) in a rate
         # keeps its relative accuracy next to a pole; pi - phi for the far
         # sheet would add pi's rounding there, 1e-16 / cos(phi) of one sign
@@ -187,17 +180,13 @@ class _Leg:
         self.rate_points += phi.size
         rate = self.K.lambda_rate_phi(phi).reshape(self.parities, -1)
         rate[:, (t < self.cut[0]) | (t > self.cut[1])] = 0.0
-        return g, rate, frac
+        return g, rate
 
     def _extend(self, nodes, t0, need_arc, low: bool):
         end = -math.pi / 2.0 if low else math.pi / 2.0
-
-        def g(t):
-            return _arc_rate(self.K, self.iv, t, any(self.spiral))[0]
-
         # rough arc from t0 to the current inner edge
         probe = np.linspace(nodes[0] if low else nodes[-1], t0, 33)
-        gv = g(probe)
+        gv = self.prof.arc_rate(probe)[0]
         arc = abs(float(np.sum(0.5 * (gv[1:] + gv[:-1]) * np.diff(probe))))
         for _ in range(80):
             edge = nodes[0] if low else nodes[-1]
@@ -205,14 +194,14 @@ class _Leg:
             if arc >= need_arc or new_t in (edge, end):
                 break
             mid, half = 0.5 * (new_t + edge), 0.5 * abs(edge - new_t)
-            arc += abs(half * float(np.dot(_W7, g(mid + half * _X7))))
+            arc += abs(half * float(np.dot(_W7, self.prof.arc_rate(mid + half * _X7)[0])))
             nodes.insert(0 if low else len(nodes), new_t)
 
     def _refine(self, t, tol, t0):
         """The arc and longitude columns through gauss_adaptive."""
         def cols(x):
-            g, rate, frac = self._columns(x)
-            return np.vstack([g, rate * g]), frac
+            g, rate = self._columns(x)
+            return np.vstack([g, rate * g])
 
         self.t, coef, sums, self.arc_err = gauss_adaptive(cols, t, tol)
         # degree first, so a gather per sample reads contiguous rows
@@ -537,27 +526,22 @@ def arc_length_of_z(K: MomentumLaw, z_from: float, z_to: float,
     Finite at turning points and pole passages; infinite when an endpoint
     sits at a double root of P (the motion only reaches it asymptotically).
     """
-    z_from = float(z_from)
-    z_to = float(z_to)
+    z_from, z_to = float(z_from), float(z_to)
 
     def holds(iv):
         return iv.contains(z_from, 1e-12) and iv.contains(z_to, 1e-12)
 
     iv = interval or next(filter(holds, admissible_intervals(K, with_period=False)), None)
     if iv is None:
-        raise ValueError(
-            "z_from and z_to must lie in the closure of one admissible interval")
+        raise ValueError("z_from and z_to must lie in the closure of one admissible interval")
     if not holds(iv):
         raise ValueError("height outside the interval closure")
-    for z_end, kind in ((iv.z_lo, iv.lo_kind), (iv.z_hi, iv.hi_kind)):
-        if (kind == OPEN_BOUNDARY and min(abs(z_from - z_end), abs(z_to - z_end)) <= 1e-12
-                and K.P(z_end) <= _ASYMPTOTE_P_TOL):
+    prof = _deflated(K, iv)
+    for z_end, m in zip((iv.z_lo, iv.z_hi), prof.m):  # an asymptote at a multiple root
+        if m >= 2 and min(abs(z_from - z_end), abs(z_to - z_end)) <= 1e-12:
             return math.copysign(math.inf, z_to - z_from)
     t_a, t_b = _t_of_z(iv, z_from), _t_of_z(iv, z_to)
-    if t_a == t_b:  # the integrand can be 0/0 on a pole
-        return 0.0
-    sums = gauss_adaptive(_arc_column(K, iv), sorted((t_a, t_b)), quad_tol)[2]
-    return math.copysign(float(sums.sum()), t_b - t_a)
+    return math.copysign(prof.arc(quad_tol, *sorted((t_a, t_b))), t_b - t_a)
 
 
 def z_of_s(K: MomentumLaw, s, interval: Optional[AdmissibleInterval] = None,

@@ -275,14 +275,23 @@ def test_criterion_11_oracle_equivalence():
         vals.append((name, _sup(gap), 1e-6))
 
     # step halving must shrink the integrator error about 16-fold; the
-    # substep never exceeds the sample spacing, so ds must stay below it
-    K = family_law("small-circle", {"k0": 2.0, "c": 1.5})
-    tr = reconstruct(K, _cfg(4.0, n=n))
+    # substep never exceeds the sample spacing, so ds must stay below it.
+    # Both errors are against the closed form in the oracle's gauge (z0 the
+    # interval midpoint, rising, lambda0 = 0), so no reconstruction error
+    # enters the ratio
+    params = {"k0": 2.0, "c": 1.5}
+    K = family_law("small-circle", params)
     init = initial_state(K)
+    cf = closed_form("small-circle", params)
+    s = np.linspace(-2.0, 2.0, n)
+    phi, lam, _ = cf(s)
+    lam = lam - cf(np.zeros(1))[1][0]
+    xi = np.column_stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
     errs = []
     for ds in (1e-2, 5e-3):
         orc = frenet_integrate(K.law, init, 4.0, ds, n_samples=n)
-        errs.append(_sup(np.linalg.norm(orc.xi - tr.xi, axis=1)))
+        assert np.allclose(orc.s, s, atol=1e-12)
+        errs.append(_sup(np.linalg.norm(orc.xi - xi, axis=1)))
     ratio = errs[0] / errs[1]
     vals.append(("halving ratio high", ratio, 16.0 * 1.2))
     vals.append(("halving ratio low", 16.0 * 0.8 / ratio, 1.0))

@@ -1,5 +1,6 @@
 """Momentum law algebra: derivatives, admissibility, interval classification."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from sphericurve.laws import (
     OPEN_BOUNDARY,
     POLE_PASSAGE,
     TURNING_POINT,
+    AdmissibleInterval,
     admissible_intervals,
     antiderivative,
     catenary_law,
@@ -27,7 +29,7 @@ from sphericurve.laws import (
 )
 from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.oracle import frenet_integrate, initial_state
-from sphericurve.reconstruct import ReconstructionConfig, reconstruct
+from sphericurve.reconstruct import ReconstructionConfig, arc_length_of_z, reconstruct
 
 
 def _all_laws():
@@ -220,7 +222,7 @@ class TestAdmissibleIntervals:
         ivs = admissible_intervals(family_law("catenary", {"a": a}))
         assert len(ivs) == 2
         for iv in ivs:
-            assert iv.period_s == pytest.approx(math.pi, rel=0.0, abs=5e-12)
+            assert iv.period_s == pytest.approx(math.pi, rel=0.0, abs=4e-15)
 
     @pytest.mark.parametrize("n", [0.05, 1.0 / 3.0, 1.0, 3.0, 20.0])
     def test_clelia_period_is_four_A_E(self, n):
@@ -336,6 +338,9 @@ def _custom_copies():
         ("loxo-one", family_law("loxo-one", {"a": 0.5}),
          antiderivative(custom_law(lambda z: z / np.sqrt(0.5 - z * z), domain=(-r, r)), -r),
          0.0, 1.6),
+        # K(1) = 1e-2: a turning point 5e-5 below the pole
+        ("near-pole", antiderivative(constant_law(1.0), 1e-2 - 1.0),
+         antiderivative(custom_law(lambda z: 1.0 + 0.0 * z), 1e-2 - 1.0), 0.5, 4.0),
     ]
 
 
@@ -377,6 +382,35 @@ class TestCustomLaw:
             orc = frenet_integrate(K.law, initial_state(K, z0=0.0, interval=iv),
                                    9.0, 1e-3, n_samples=901)
             assert np.max(np.linalg.norm(orc.xi - tr.xi, axis=1)) <= 1e-10, law.kind
+
+
+class TestHandBuiltInterval:
+    """An interval not from admissible_intervals carries no deflated
+    profile: it takes that of the law's interval with its ends and kinds."""
+
+    def _law(self):
+        K = family_law("borderline", {"a": 0.857})
+        return K, next(iv for iv in admissible_intervals(K) if iv.z_lo < 0.5 < iv.z_hi)
+
+    def test_copy_of_a_scan_interval_reconstructs_identically(self):
+        K, iv = self._law()
+        copy = AdmissibleInterval(iv.z_lo, iv.z_hi, iv.lo_kind, iv.hi_kind, iv.period_s)
+        cfg = ReconstructionConfig(s_span=4.0, n_samples=801, z0=0.5)
+        want, got = (reconstruct(K, cfg, interval=v) for v in (iv, copy))
+        for field in ("s", "z", "phi", "lam", "xi"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert (arc_length_of_z(K, 0.5, iv.z_hi, interval=copy)
+                == arc_length_of_z(K, 0.5, iv.z_hi, interval=iv))
+
+    def test_copy_with_shifted_ends_is_rejected(self):
+        K, iv = self._law()
+        cfg = ReconstructionConfig(s_span=4.0, n_samples=801, z0=0.5)
+        for shifted in (AdmissibleInterval(iv.z_lo, iv.z_hi - 1e-9, iv.lo_kind, iv.hi_kind),
+                        dataclasses.replace(iv, z_hi=np.nextafter(iv.z_hi, 0.0))):
+            with pytest.raises(ValueError):
+                reconstruct(K, cfg, interval=shifted)
+            with pytest.raises(ValueError):
+                arc_length_of_z(K, 0.5, 0.6, interval=shifted)
 
 
 class TestScalarKappa:

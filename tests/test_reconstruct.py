@@ -7,13 +7,13 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from sphericurve._quad import _W7, _W15, _X7, _X15
 from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.laws import (
-    _arc_rate,
     admissible_intervals,
     antiderivative,
     catenary_law,
@@ -25,6 +25,7 @@ from sphericurve.laws import (
     sn_family_law,
     viviani_law,
 )
+from sphericurve.oracle import frenet_integrate, initial_state
 from sphericurve.reconstruct import (
     ReconstructionConfig,
     _Leg,
@@ -63,11 +64,22 @@ def _workloads():
     return mod
 
 
+# near-degenerate laws on the sweep window: the borderline of sweep seed
+# 210, turning 5.8e-9 below the pole, and the hard case a = 0.5001
+_NEAR_DEGENERATE = {"borderline a=0.999892": ("borderline", {"a": 0.999892}, 0.5),
+                    "borderline a=0.5001": ("borderline", {"a": 0.5001}, None)}
+
+
 def _sweep_gauge(name):
     """The benchmark's sweep case for a family at the middle of its
-    parameter box: law, interval (None: the default) and config."""
+    parameter box, or for a _NEAR_DEGENERATE law: law, interval (None:
+    the default) and config."""
     wl = _workloads()
-    params, span, z0, dz = wl._sweep_case(_Midpoint(), name)
+    if name in _NEAR_DEGENERATE:
+        name, params, z0 = _NEAR_DEGENERATE[name]
+        span, dz = 4.0, 1
+    else:
+        params, span, z0, dz = wl._sweep_case(_Midpoint(), name)
     K = family_law(name, params)
     iv = None if z0 is None else next(
         iv for iv in admissible_intervals(K) if iv.z_lo < z0 < iv.z_hi)
@@ -207,16 +219,17 @@ class TestArcLength:
             got = arc_length_of_z(K, 0.0, zt)
             assert got == pytest.approx(incomplete_F(math.asin(zt), p), abs=1e-10)
 
-    @pytest.mark.parametrize("a", [0.3, 0.45])
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.45, 0.499])
     def test_catenary_turning_point_to_turning_point(self, a):
         # z^2 = (1 + q sin 2s) / 2 climbs from z_lo to z_hi in s = pi/2; the
         # height map is exact at both ends, so no sliver of arc is lost there
-        # and the quadrature is the period's own, over t in [-pi/2, pi/2]
+        # and the quadrature is the period's own, over t in [-pi/2, pi/2];
+        # with both roots divided out of P the integrand is smooth there
         K = antiderivative(catenary_law(a))
         for iv in admissible_intervals(K):
             got = arc_length_of_z(K, iv.z_lo, iv.z_hi, interval=iv)
             assert got == 0.5 * iv.period_s
-            assert got == pytest.approx(math.pi / 2.0, rel=0.0, abs=1e-12)
+            assert got == pytest.approx(math.pi / 2.0, rel=0.0, abs=1e-15)
 
     def test_asymptote_is_infinite(self):
         K = antiderivative(loxo_super_law(2.0))
@@ -362,7 +375,7 @@ class TestLegTable:
         assert a["rate_points"] == b["rate_points"] > 0
         assert max(a["newton_iters_max"], b["newton_iters_max"]) <= 8
 
-    @pytest.mark.parametrize("name", family_names())
+    @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE))
     def test_panels_at_the_sweep_gauge(self, name):
         # the arc is read through each panel's own Gauss polynomial, so
         # short windows stay near the initial 64 panels; a table split by
@@ -374,25 +387,29 @@ class TestLegTable:
                                       "loxo-super", "clelia", "catenary"])
     def test_arc_err_max_is_the_worst_accepted_panel(self, name):
         # recomputed panel by panel from the arc nodes: each accepted
-        # |GL15 - GL7| is within the table tolerance or the panel's own
-        # roundoff floor, and the largest is the reported one
+        # |GL15 - GL7| is within the table tolerance, and the largest is
+        # the reported one
         K, iv, cfg = _sweep_gauge(name)
         tr = reconstruct(K, cfg, interval=iv)
         iv = iv if iv is not None else _pick_interval(K, None)
         t0 = _t_of_z(iv, tr.meta["gauge"]["z0"])
         leg = _Leg(K, iv, cfg.quad_tol, t0, need_arc=0.5 * cfg.s_span + 1.0)
-        spiral = any(leg.spiral)
         a, b = leg.t[:-1, None], leg.t[1:, None]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        g15, frac, _, _ = _arc_rate(K, iv, mid + half * _X15, spiral)
-        g7 = _arc_rate(K, iv, mid + half * _X7, spiral)[0]
+        g15 = leg.prof.arc_rate(mid + half * _X15)[0]
+        g7 = leg.prof.arc_rate(mid + half * _X7)[0]
         err = np.abs(half[:, 0] * (g15 @ _W15 - g7 @ _W7))
-        floor = 4.0 * half[:, 0] * ((g15 * frac) @ _W15)
-        tol = max(cfg.quad_tol / 64.0, 1e-14)
-        assert np.all(err <= np.maximum(tol, floor))
+        assert np.all(err <= max(cfg.quad_tol / 64.0, 1e-14))
         got = tr.meta["stats"]["arc_err_max"]
         assert got == leg.arc_err.max() == pytest.approx(err.max(), rel=1e-6)
         assert got > 0.0
+
+    @pytest.mark.parametrize("name", family_names())
+    def test_arc_err_max_within_the_table_tolerance(self, name):
+        # no panel is accepted on a roundoff floor, double-root ends included
+        K, iv, cfg = _sweep_gauge(name)
+        stats = reconstruct(K, cfg, interval=iv).meta["stats"]
+        assert stats["arc_err_max"] <= cfg.quad_tol / 64.0
 
     def test_arc_err_max_does_not_grow_with_samples(self):
         K = family_law("seiffert", {"p": 0.7})
@@ -400,6 +417,67 @@ class TestLegTable:
                 for n in (1201, 40001))
         assert a["arc_err_max"] == b["arc_err_max"] > 0.0
         assert a["arc_err_max"] <= 1e-10 / 64.0
+
+
+def _lam_to_hi(K, iv, z0):
+    """The longitude the leg table gains from z0 up to the turning point z_hi."""
+    t0 = _t_of_z(iv, z0)
+    leg = _Leg(K, iv, 1e-10, t0, need_arc=1.0)
+    p = np.zeros(1, dtype=int)
+    return (leg.lam_of(np.array([leg.total]), np.array([math.pi / 2.0]), p)[0]
+            - leg.lam_of(leg.s_of_t(np.array([t0])), np.array([t0]), p)[0])
+
+
+def _mp_lam_to_hi(K, z_hi, root, z0):
+    """The same longitude at 40 digits: the rate -K / (1 - z^2) over
+    dz / sqrt(P), with z = z_hi - u^2 and sqrt(P) = u root(z), smooth in u."""
+    with mpmath.workdps(40):
+        def f(u):
+            z = z_hi - u * u
+            return -2 * K(z) / ((1 - z * z) * root(z))
+        return mpmath.quad(f, [0, mpmath.sqrt(z_hi - mpmath.mpf(z0))])
+
+
+class TestNearPoleTurningPoints:
+    """Turning points a hair below the north pole: P is divided by its
+    root there, and 1 - z_hi is carried to relative accuracy."""
+
+    def test_sweep_seed_210(self):
+        # sweep seed 210's borderline, turning 5.8e-9 below the pole; the
+        # reference is _mp_lam_to_hi for this law
+        K, iv, cfg = _sweep_gauge("borderline a=0.999892")
+        assert _lam_to_hi(K, iv, 0.5) == pytest.approx(2.887771750353478693, abs=1e-12)
+        tr = reconstruct(K, cfg, interval=iv)
+        orc = frenet_integrate(K.law, initial_state(K, z0=0.5, interval=iv),
+                               cfg.s_span, 5e-4, n_samples=cfg.n_samples)
+        assert np.max(np.linalg.norm(orc.xi - tr.xi, axis=1)) <= 1e-9
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-9, 1e-12])
+    def test_borderline_toward_the_pole(self, delta):
+        # 1 - z_hi is about delta; P = a^2 z^2 (z_hi - z)(z_hi + z)
+        a = 1.0 - math.sqrt(2.0 * delta)
+        K = family_law("borderline", {"a": a})
+        iv = next(iv for iv in admissible_intervals(K) if iv.z_lo < 0.5 < iv.z_hi)
+        A = mpmath.mpf(a)
+        with mpmath.workdps(40):
+            z_hi = mpmath.sqrt(2 * A - 1) / A
+        want = _mp_lam_to_hi(lambda z: A * z * z - 1, z_hi,
+                             lambda z: A * z * mpmath.sqrt(z_hi + z), 0.5)
+        assert abs(_lam_to_hi(K, iv, 0.5) - want) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    def test_constant_law_toward_the_pole(self, eps):
+        # K = z + c with K(1) = eps: P = 2 (z - z_lo)(z_hi - z), and
+        # 1 - z_hi is about eps^2 / 2
+        c = eps - 1.0
+        K = antiderivative(constant_law(1.0), c)
+        (iv,) = admissible_intervals(K)
+        z0 = 0.5 * (iv.z_lo + iv.z_hi)
+        C = mpmath.mpf(c)
+        with mpmath.workdps(40):
+            z_lo, z_hi = ((-C + sgn * mpmath.sqrt(2 - C * C)) / 2 for sgn in (-1, 1))
+        want = _mp_lam_to_hi(lambda z: z + C, z_hi, lambda z: mpmath.sqrt(2 * (z - z_lo)), z0)
+        assert abs(_lam_to_hi(K, iv, z0) - want) <= 1e-10
 
 
 class TestWholeLegs:
