@@ -12,8 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
+
+def _gauss(n):
+    """Gauss-Legendre nodes and weights, by Newton on P_n in long double from
+    numpy's (whose 15-point weights are up to 38 ulps off)."""
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x.astype(float), (2.0 / ((1.0 - x * x) * dp * dp)).astype(float)
+
+
+_X7, _W7 = _gauss(7)
+_X15, _W15 = _gauss(15)
 # Legendre coefficients, from the 15 Gauss values on [-1, 1], of the integral
 # from -1 of the polynomial through them; at 1 it is the GL15 sum
 _INT15 = np.polynomial.legendre.legint(

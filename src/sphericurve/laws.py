@@ -617,10 +617,11 @@ class _Deflated:
 
     def arc_rate(self, t):
         """ds/dt = r cos t / sqrt(P) at z = m + r sin t, z and cos^2(phi), from Q,
-        the pole distances and up = z - z_lo = 2 r cos^2 q, dn = z_hi - z =
-        2 r sin^2 q (q = pi/4 - t/2): nothing cancels near an end or a pole."""
+        the pole distances and up = z - z_lo = 2 r sin^2(pi/4 + t/2), dn = z_hi -
+        z = 2 r sin^2(pi/4 - t/2), exact at either end: nothing cancels near an
+        end or a pole."""
         m, r = 0.5 * (self.z_lo + self.z_hi), 0.5 * (self.z_hi - self.z_lo)
-        c, s = np.cos(q := 0.25 * np.pi - 0.5 * t), np.sin(q)
+        c, s = np.sin(0.25 * np.pi + 0.5 * t), np.sin(0.25 * np.pi - 0.5 * t)
         up, dn, z = r * (2.0 * c * c), r * (2.0 * s * s), m + r * ((c - s) * (c + s))
         x = self.D(z)
         i = np.searchsorted([p[0] for p in self.panels[:-1]], z) if len(self.panels) > 1 else 0

@@ -12,9 +12,9 @@ by folding the arc-length coordinate.
 The same table carries the longitude rate d(lambda)/ds = -M(phi)/cos^2(phi)
 integrated over t, one column per sheet parity: between two events of the
 height motion lambda depends on the height alone, so each sample costs one
-table lookup and each whole leg adds +-Lam(L).  Across a spiraling pole
-contact the finite part continues by the mirror rule
-lambda(s* + u) = lambda(s* - u).
+table lookup and each whole leg adds +-Lam(L).  At a spiraling pole contact
+the table holds the longitude less its log singularity, whose finite part
+continues across by the mirror rule lambda(s* + u) = lambda(s* - u).
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .laws import (
     admissible_intervals,
 )
 
-# longitude tail within this arc distance of a spiraling pole contact is
-# integrated analytically from the 1/(s - s*) residue
-_POLE_CUT = 1e-4
-# reported longitude at a contact sample is the value this far before it
+# the table ends t = -+pi/2, where the half-angles in arc_rate vanish exactly
+_ENDS = (-0.5 * math.pi, 0.5 * math.pi)
+# reported longitude at a contact sample is the value this far in t before it
 _POLE_OFF = 1e-9
 
 
@@ -120,8 +119,9 @@ class _Leg:
     has sign (-1)^p), between the nodes t the integrals of the polynomial
     through each panel's Gauss values; the inverse t(s), per panel, the
     interpolant of that arc polynomial's inverse, built once.  At a
-    spiraling pole contact the longitude stops _POLE_CUT of arc short of
-    the end, continuing as A log(distance) with A read off the cut.
+    spiraling pole contact end e the longitude integrand has a simple pole,
+    rate_p g ~ A[p, e] / (t - t_e); the columns integrate the smooth
+    remainder, and Lam_p adds back A[p, e] log|t - t_e|.
     """
 
     def __init__(self, K: MomentumLaw, iv: AdmissibleInterval,
@@ -142,23 +142,21 @@ class _Leg:
         self.parities = 1 + (POLE_PASSAGE in (iv.lo_kind, iv.hi_kind)
                              and abs(odd - even) > 1e-12 * abs(even))
         self.rate_points = self.newton_iters_max = 0
-        half_pi = math.pi / 2.0
-        t_lo = -half_pi + (min(0.01, 0.5 * (t0 + half_pi)) if self.asym_lo else 0.0)
-        t_hi = half_pi - (min(0.01, 0.5 * (half_pi - t0)) if self.asym_hi else 0.0)
+        t_lo = _ENDS[0] + (min(0.01, 0.5 * (t0 - _ENDS[0])) if self.asym_lo else 0.0)
+        t_hi = _ENDS[1] - (min(0.01, 0.5 * (_ENDS[1] - t0)) if self.asym_hi else 0.0)
         nodes = list(np.linspace(t_lo, t_hi, 65))
         # rough extension toward excluded double-root ends until the table
         # spans need_arc of arc on each side of t0
         for low, asym in ((True, self.asym_lo), (False, self.asym_hi)):
             if asym:
                 self._extend(nodes, t0, need_arc, low)
-        # longitude cuts at spiral ends, where s ~ sqrt(2 r / |P'|) t to
-        # O(cut^3); each is a node, so no panel straddles one
-        self.cut = [-math.inf, math.inf]
-        for e, pole in ((0, -1.0), (1, 1.0)):
-            if self.spiral[e]:
-                g_end = math.sqrt(2.0 * self.r / max(abs(K.dP(pole)), 1e-12))
-                self.cut[e] = pole * (half_pi - _POLE_CUT / g_end)
-                nodes.append(self.cut[e])
+        # residues at spiral ends, read off the integrand 1e-8 from the end: to
+        # 1e-16 where its corrections are odd in t - t_e (built-in families)
+        self.A = np.zeros((self.parities, 2))
+        for e in np.flatnonzero(self.spiral):
+            t = _ENDS[e] - math.copysign(1e-8, _ENDS[e])
+            g, rate = self._columns(np.array([t]))
+            self.A[:, e] = rate[:, 0] * g[0] * (t - _ENDS[e])
 
         self._refine(np.sort(nodes), max(quad_tol / 64.0, 1e-14), t0)
         self.total = float(self.s[-1])
@@ -168,22 +166,22 @@ class _Leg:
     # -- construction ------------------------------------------------------
 
     def _columns(self, t):
-        """g and the longitude rate per parity (rows; 0 past a spiral cut)."""
+        """g and the longitude rate per parity (rows) at (z, +-w) on the unit
+        circle: w = cos(phi) is cancellation-free, so 1/w in a rate keeps its
+        relative accuracy next to a pole, and z takes the end root w carries."""
         g, z, w2 = self.prof.arc_rate(t)
-        # latitude from the cancellation-free cos, so 1/cos(phi) in a rate
-        # keeps its relative accuracy next to a pole; pi - phi for the far
-        # sheet would add pi's rounding there, 1e-16 / cos(phi) of one sign
         w = np.sqrt(w2)
-        phi = np.arctan2(z, w)
+        n = np.hypot(z, w)
+        z, w = z / n, w / n
         if self.parities == 2:
-            phi = np.concatenate([phi, np.arctan2(z, -w)])
-        self.rate_points += phi.size
-        rate = self.K.lambda_rate_phi(phi).reshape(self.parities, -1)
-        rate[:, (t < self.cut[0]) | (t > self.cut[1])] = 0.0
-        return g, rate
+            z, w = np.concatenate([z, z]), np.concatenate([w, -w])
+        self.rate_points += z.size
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rate = self.K.law._rate(z, w, self.K.c)
+        return g, rate.reshape(self.parities, -1)
 
     def _extend(self, nodes, t0, need_arc, low: bool):
-        end = -math.pi / 2.0 if low else math.pi / 2.0
+        end = _ENDS[0] if low else _ENDS[1]
         # rough arc from t0 to the current inner edge
         probe = np.linspace(nodes[0] if low else nodes[-1], t0, 33)
         gv = self.prof.arc_rate(probe)[0]
@@ -198,17 +196,18 @@ class _Leg:
             nodes.insert(0 if low else len(nodes), new_t)
 
     def _refine(self, t, tol, t0):
-        """The arc and longitude columns through gauss_adaptive."""
+        """The arc and longitude columns, less spiral poles, by gauss_adaptive."""
         def cols(x):
             g, rate = self._columns(x)
-            return np.vstack([g, rate * g])
+            return np.vstack([g, rate * g - self.A @ (1.0 / (x - np.array(_ENDS)[:, None]))])
 
         self.t, coef, sums, self.arc_err = gauss_adaptive(cols, t, tol)
         # degree first, so a gather per sample reads contiguous rows
         self.arc_coef = coef[0]
         self.coef = coef[1:].transpose(2, 0, 1).copy()
         ds, dlam = sums[0], sums[1:]
-        self.s = np.concatenate([[0.0], np.cumsum(ds)])
+        # summed in long double: the arc to a spiral contact is good to the ulp
+        self.s = np.concatenate([[0.0], np.cumsum(ds, dtype=np.longdouble).astype(float)])
         # summed outward from the gauge point's node, so values near the
         # window stay small and carry a small rounding error
         k = int(np.searchsorted(self.t, t0))
@@ -293,25 +292,15 @@ class _Leg:
         return y.reshape(n, m), 0.5 * h[:, 0] * np.abs(slope).reshape(n, m).max(axis=1)
 
     def _ends(self):
-        """join[p, e]: Lam_p where end e (lo 0, hi 1) joins the next leg,
-        at the cut for a spiral end, cut_dist arc away, where the residue
-        A[p, e] of rate ~ A / (tau - tau_end) (odd corrections only) is
-        read; slope[p, e]: the rate at an asymptotic end, which holds for
-        arc past the table, where the height freezes."""
-        idx = [0, self.t.size - 1]
-        self.cut_dist = [0.0, 0.0]
-        self.A = np.zeros((self.parities, 2))
+        """join[p, e]: Lam_p where end e (lo 0, hi 1) joins the next leg, at
+        a spiral end its finite part, without A[p, e] log|t - t_e|; slope[p,
+        e]: the rate at an asymptotic end, which holds for arc past the
+        table, where the height freezes."""
+        t = self.t[[0, -1]]
+        self.join = self.lam[:, [0, -1]] + self.A[:, ::-1] * np.log(np.abs(t - _ENDS[::-1]))
         self.slope = np.zeros((self.parities, 2))
-        for e, asym, tau_end in ((0, self.asym_lo, 0.0),
-                                 (1, self.asym_hi, self.total)):
-            if self.spiral[e]:
-                idx[e] = int(np.searchsorted(self.t, self.cut[e]))
-                off = float(self.s_of_t(np.array([self.cut[e]]))[0]) - tau_end
-                self.cut_dist[e] = abs(off)
-                self.A[:, e] = self._columns(np.array([self.cut[e]]))[1][:, 0] * off
-            elif asym:
-                self.slope[:, e] = self._columns(self.t[idx[e]:idx[e] + 1])[1][:, 0]
-        self.join = self.lam[:, idx]
+        for e in np.flatnonzero((self.asym_lo, self.asym_hi)):
+            self.slope[:, e] = self._columns(t[e:e + 1])[1][:, 0]
 
     # -- evaluation --------------------------------------------------------
 
@@ -331,13 +320,9 @@ class _Leg:
         lam = self.lam[p, i] + 0.5 * h * legval_rows(self.coef[:, p, i], 2.0 * x - 1.0)
         lam += (self.slope[p, 0] * np.minimum(tau, 0.0)
                 + self.slope[p, 1] * np.maximum(tau - self.total, 0.0))
-        for e, dist in ((0, tau), (1, self.total - tau)):
-            if self.spiral[e]:
-                near = np.flatnonzero(dist < self.cut_dist[e])
-                with np.errstate(divide="ignore"):
-                    lam[near] = self.join[p[near], e] + self.A[p[near], e] * np.log(
-                        dist[near] / self.cut_dist[e])
-        return lam
+        with np.errstate(divide="ignore"):
+            return lam + sum(self.A[p, e] * np.log(np.abs(t - _ENDS[e]))
+                             for e in np.flatnonzero(self.spiral))
 
     def t_of_s(self, tau):
         tau = np.clip(np.asarray(tau, dtype=float), 0.0, self.total)
@@ -377,9 +362,8 @@ class _Motion:
     def _fold(self, u):
         """Table coordinate tau for unfolded arc coordinate u."""
         L = self.L
-        if self.lo_closed and self.hi_closed:
-            v = np.mod(u, 2.0 * L)
-            return np.minimum(v, 2.0 * L - v)
+        if self.lo_closed and self.hi_closed:  # exact for |u| < L, unlike mod
+            return np.abs(u - 2.0 * L * np.round(u / (2.0 * L)))
         if self.hi_closed:
             return np.where(u > L, 2.0 * L - u, u)
         if self.lo_closed:
@@ -463,8 +447,8 @@ class _Motion:
 
         On a segment between events lambda = c + sigma Lam_p(tau) with
         sigma = dtau/ds; c carries over each event by continuity at the
-        leg end (at a spiral contact: at the cut, which continues the
-        finite part by the mirror rule lambda(s* + u) = lambda(s* - u)).
+        leg end (at a spiral contact: of the finite part, which continues
+        by the mirror rule lambda(s* + u) = lambda(s* - u)).
         """
         leg = self.leg
         par = self.seg_m % leg.parities
@@ -497,8 +481,8 @@ class _Motion:
                                                   sj + 2.0 * slack(sj)]))
             near = near[np.abs(s[near] - sj) <= slack(s[near])]
             k = j if sj > 0.0 else j + 1
-            lam[near] = c[k] + sig[k] * (leg.join[par[k], e[j]] + leg.A[par[k], e[j]]
-                                         * math.log(_POLE_OFF / leg.cut_dist[e[j]]))
+            lam[near] = c[k] + sig[k] * (leg.join[par[k], e[j]]
+                                         + leg.A[par[k], e[j]] * math.log(_POLE_OFF))
             on.extend(near.tolist())
         return lam, sorted(on)
 

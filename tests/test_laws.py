@@ -308,6 +308,17 @@ class TestExactProfile:
             monkeypatch.undo()
             assert sum(seen) <= 64, (name, sum(seen))
 
+    @pytest.mark.parametrize("tau", [1e-6, 1e-8, 1e-10])
+    def test_arc_rate_symmetric_at_both_ends(self, tau):
+        # sn-family's interval [-1, 1] is symmetric: at t and -t the arc
+        # rate and cos^2(phi) agree, the lo pole as exact as the hi one
+        prof = admissible_intervals(family_law("sn-family", {"p": 0.6}))[0]._deflated
+        t = np.array([0.5 * math.pi - tau])
+        g_hi, _, w2_hi = prof.arc_rate(t)
+        g_lo, _, w2_lo = prof.arc_rate(-t)
+        assert abs(g_lo[0] - g_hi[0]) <= 2.0 * math.ulp(g_hi[0])
+        assert abs(w2_lo[0] - w2_hi[0]) <= 2.0 * math.ulp(w2_hi[0])
+
     @pytest.mark.parametrize("a", [0.5001, 0.501])
     def test_borderline_ends_to_the_ulp(self, a):
         lo, hi = admissible_intervals(family_law("borderline", {"a": a}),

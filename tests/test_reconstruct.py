@@ -29,6 +29,7 @@ from sphericurve.oracle import frenet_integrate, initial_state
 from sphericurve.reconstruct import (
     ReconstructionConfig,
     _Leg,
+    _Motion,
     _pick_interval,
     _t_of_z,
     _widest,
@@ -303,7 +304,51 @@ class TestSpiralContacts:
         for d in (1, 2, 5, 40):
             a = tr.lam[i_star - d]
             b = tr.lam[i_star + d]
-            assert abs(a - b) < 1e-7, d
+            assert abs(a - b) < 3e-14, d
+
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
+    def test_longitude_next_to_a_contact(self, p):
+        # within 1e-4 of arc of a contact (samples 4.1e-5 to 1e-4 from it)
+        # the longitude is the closed form's, as it is farther out
+        K1 = complete_K(p)
+        tr = reconstruct(family_law("sn-family", {"p": p}),
+                         _cfg(4.0 * K1, n=160001, z0=0.0))
+        _, lam_cf, _ = closed_form("sn-family", {"p": p})(tr.s)
+        near = np.min(np.abs(np.abs(tr.s[:, None]) - K1), axis=1) < 1e-4
+        near[tr.meta["spiral_samples"]] = False
+        assert near.sum() == 8
+        assert np.max(np.abs(tr.lam[near] - lam_cf[near])) <= 1e-11
+
+    @pytest.mark.parametrize("name,key,v", [("sn-family", "p", 0.4), ("sn-family", "p", 0.8),
+                                            ("sn-family", "p", 0.999), ("loxodrome", "a", 0.5),
+                                            ("loxodrome", "a", 0.999)])
+    def test_residues_in_closed_form(self, name, key, v):
+        # rate ds/dt ~ A / (t - t_e) at each pole, per sheet parity (row),
+        # |A| = v / sqrt(1 - v^2); the sign follows cos(phi) and, for the
+        # sn-family, whether the pole is north or south
+        K = family_law(name, {key: v})
+        leg = _Leg(K, admissible_intervals(K)[0], 1e-10, 0.0, need_arc=1.0)
+        sign = np.array([[1.0, 1.0], [-1.0, -1.0]] if name == "sn-family"
+                        else [[1.0, -1.0], [-1.0, 1.0]])
+        assert leg.spiral == (True, True)
+        np.testing.assert_allclose(leg.A, sign * v / math.sqrt(1.0 - v * v), rtol=1e-13)
+
+    @pytest.mark.parametrize("name,key,v,bound", [
+        ("sn-family", "p", 0.4, 64), ("sn-family", "p", 0.6, 64),
+        ("sn-family", "p", 0.8, 64), ("sn-family", "p", 0.9, 64),
+        ("sn-family", "p", 0.99, 64), ("sn-family", "p", 0.999, 87),
+        ("loxodrome", "a", 0.5, 64), ("loxodrome", "a", 0.9, 64),
+        ("loxodrome", "a", 0.999, 64)])
+    def test_spiral_legs_need_few_panels(self, name, key, v, bound):
+        # the remainder left by the subtracted residue is smooth, so a
+        # spiral leg refines little beyond the initial 64 panels (p = 0.999
+        # splits next to the poles, where the remainder is a difference of
+        # values near 2e7 and carries their rounding)
+        K = family_law(name, {key: v})
+        span = (4.0 * complete_K(v) if name == "sn-family"
+                else 0.9 * math.pi / math.sqrt(1.0 - v * v))
+        tr = reconstruct(K, _cfg(span, n=1601, z0=0.0))
+        assert tr.meta["stats"]["leg_panels"] <= bound
 
     def test_smooth_pole_passage_not_flagged(self):
         K = antiderivative(viviani_law())
@@ -354,6 +399,31 @@ class TestLegTable:
             t = leg.t_of_s(tau)
             assert leg.newton_iters_max <= 8, name
             assert np.max(np.abs(leg.s_of_t(t) - tau)) <= 1e-13, name
+
+    @pytest.mark.parametrize("x,w", [(_X7, _W7), (_X15, _W15)])
+    def test_gauss_rules_exact_to_the_ulp(self, x, w):
+        # each rule integrates the monomials up to degree 2n - 1 to the ulp,
+        # so a table's arc carries no bias (numpy's 15-point weights sum to
+        # 2 - 2.2e-16, which put a sn-family contact an ulp off)
+        for k in range(2 * x.size):
+            assert abs(math.fsum(w * x ** k) - (k % 2 == 0) * 2.0 / (k + 1)) <= 1e-16, k
+
+    @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
+    def test_leg_arc_to_the_ulp(self, p):
+        # pole to pole is 2 K(p); summed in doubles, the 64 panel sums drift
+        # by up to 4 ulps, which moves a spiral contact as far
+        K = family_law("sn-family", {"p": p})
+        leg = _Leg(K, admissible_intervals(K)[0], 1e-10, 0.0, need_arc=1.0)
+        want = 2.0 * float(mpmath.ellipk(mpmath.mpf(p) ** 2))
+        assert abs(leg.total - want) <= math.ulp(want)
+
+    def test_fold_is_exact_next_to_the_lo_end(self):
+        # just before a lo end the folded arc is the distance to it, with
+        # no rounding at 2L's ulp
+        K = family_law("sn-family", {"p": 0.6})
+        motion = _Motion(K, admissible_intervals(K)[0], 4.0, 1e-10, z0=0.0)
+        u = -np.logspace(-12, -1, 12)
+        assert np.array_equal(motion._fold(u), -u)
 
     def test_longitude_carries_no_inversion_error(self):
         # Seiffert's longitude rate is the constant p, so lambda - lambda0
