@@ -4,8 +4,8 @@ The one adaptive routine, gauss_adaptive, refines the panels between
 given nodes with vectorized integrand calls and keeps, per accepted
 panel, each column's Gauss polynomial.  Cumulative tables built from
 these panels are read between their nodes through that polynomial
-(_INT15), and inverted through interpolants at Chebyshev points (_CHEB,
-_CHEB_LEG).
+(_INT15), and inverted through interpolants sampled at Chebyshev points
+(_CHEB).
 """
 
 from __future__ import annotations
@@ -37,10 +37,8 @@ _INT15_MID = np.polynomial.legendre.legvander(0.0, 15)[0]
 # Legendre coefficients of the derivative: c @ _LEG_D.T, degree 15 to 14
 _LEG_D = np.polynomial.legendre.legder(np.eye(16))
 # Chebyshev points of the second kind on [-1, 1], ascending (the middle one
-# exactly 0), and the matrix taking values there to the Legendre
-# coefficients of their interpolant
+# exactly 0)
 _CHEB = np.sin(np.pi * np.arange(-8, 9) / 16.0)
-_CHEB_LEG = np.linalg.inv(np.polynomial.legendre.legvander(_CHEB, 16))
 
 
 def legval_rows(c, x):

@@ -9,6 +9,7 @@ to stderr.  Exit codes: 0 success or verdict pass, 1 verdict fail,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -81,10 +82,13 @@ def _interval_from_args(K, args):
     return ivs[idx]
 
 
-def _out_stream(args):
+def _output(args):
+    """The data stream as a context: --output, opened by this call (made
+    after the data is computed, so an error leaves no file), else stdout,
+    left open."""
     if getattr(args, "output", None):
         return open(args.output, "w", encoding="utf-8")
-    return sys.stdout
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _add_family_opts(p, with_c=True):
@@ -172,12 +176,8 @@ def _cmd_sample(args) -> int:
                          "set it through --param")
     s = np.linspace(-0.5 * args.s_span, 0.5 * args.s_span, args.n)
     trace = curve.trace(s)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         _write_csv(trace, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -196,12 +196,8 @@ def _cmd_reconstruct(args) -> int:
         f"{len(trace.meta['events'])} event(s)",
         file=sys.stderr,
     )
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         _write_csv(trace, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -218,12 +214,8 @@ def _cmd_oracle(args) -> int:
             f"{trace.meta['halt_reason']}",
             file=sys.stderr,
         )
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         _write_csv(trace, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -247,8 +239,7 @@ def _cmd_verify(args) -> int:
         "residuals": report.to_dict()["residuals"],
         "verdict": report.verdict,
     }
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             out.write(json.dumps(payload, indent=2) + "\n")
         else:
@@ -262,9 +253,6 @@ def _cmd_verify(args) -> int:
             for name, val in payload["residuals"].items():
                 out.write(f"{name:<9} {val:.3e}\n")
             out.write(f"verdict   {payload['verdict']}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0 if report.verdict == "pass" else 1
 
 

@@ -108,10 +108,6 @@ class CurvatureLaw:
     def _kap(self, u, w):
         raise NotImplementedError
 
-    def _KdK(self, u, w, c):
-        """K kappa; a family whose product cancels states it directly."""
-        return self._K(u, w, c) * self._kap(u, w)
-
     def _rate(self, u, w, c):
         """Longitude rate -K / w^2.  On the half toward a pole where K
         vanishes, K = (z - pole) Q with Q the mean of kappa over [pole, z]
@@ -221,9 +217,6 @@ class _LoxodromeLaw(CurvatureLaw):
     def _kap(self, u, w):
         return self.params["a"] * u / w
 
-    def _KdK(self, u, w, c):
-        return -self.params["a"] ** 2 * u
-
     def _rate(self, u, w, c):
         return self.params["a"] / w
 
@@ -241,9 +234,6 @@ class _LoxoOneLaw(CurvatureLaw):
     def _kap(self, u, w):
         return u / (self.params["a"] - u * u) ** 0.5
 
-    def _KdK(self, u, w, c):
-        return -u
-
     def _profile(self, c):
         return _poly(1 - Fraction(self.params["a"])), _ONE
 
@@ -256,9 +246,6 @@ class _LoxoSuperLaw(CurvatureLaw):
 
     def _kap(self, u, w):
         return self.params["a"] * u / (1.0 - self.params["a"] * u * u) ** 0.5
-
-    def _KdK(self, u, w, c):
-        return -self.params["a"] * u
 
     def _profile(self, c):
         return _poly(0, 0, Fraction(self.params["a"]) - 1), _ONE
@@ -273,9 +260,6 @@ class _CatenaryLaw(CurvatureLaw):
     def _kap(self, u, w):
         return self.params["a"] / (u * u)
 
-    def _KdK(self, u, w, c):
-        return -self.params["a"] ** 2 / u**3
-
     def _profile(self, c):
         a = Fraction(self.params["a"])
         return _poly(-a * a, 0, 1, 0, -1), _poly(0, 0, 1)
@@ -289,9 +273,6 @@ class _SnFamilyLaw(CurvatureLaw):
 
     def _kap(self, u, w):
         return self.params["p"] * (1.0 - 2.0 * u * u) / w
-
-    def _KdK(self, u, w, c):
-        return self.params["p"] ** 2 * u * (1.0 - 2.0 * u * u)
 
     def _rate(self, u, w, c):
         return -self.params["p"] * u / w
@@ -528,11 +509,6 @@ class MomentumLaw:
     def P(self, z):
         """Admissibility profile 1 - z^2 - K(z)^2."""
         return _at_z(z, lambda u, w, c: 1.0 - u * u - self.law._K(u, w, c) ** 2, self.c)
-
-    def dP(self, z):
-        """P'(z) = -2 z - 2 K kappa, with the product kept cancellation-free."""
-        return _at_z(z, lambda u, w, c: -2.0 * u - 2.0 * self.law._KdK(u, w, c),
-                     self.c)
 
     # -- phi-form ---------------------------------------------------------
 

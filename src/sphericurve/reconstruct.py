@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import _CHEB, _CHEB_LEG, _LEG_D, _W7, _X7, gauss_adaptive, legval_rows
+from ._quad import _CHEB, _LEG_D, _W7, _X7, gauss_adaptive, legval_rows
 from .laws import (
     OPEN_BOUNDARY,
     POLE_PASSAGE,
@@ -118,10 +118,11 @@ class _Leg:
     longitude Lam_p(t) = int rate_p g dt (rate_p: the rate where cos(phi)
     has sign (-1)^p), between the nodes t the integrals of the polynomial
     through each panel's Gauss values; the inverse t(s), per panel, the
-    interpolant of that arc polynomial's inverse, built once.  At a
-    spiraling pole contact end e the longitude integrand has a simple pole,
-    rate_p g ~ A[p, e] / (t - t_e); the columns integrate the smooth
-    remainder, and Lam_p adds back A[p, e] log|t - t_e|.
+    interpolant through t at Chebyshev points and the arc that polynomial
+    takes there, built once.  At a spiraling pole contact end e the
+    longitude integrand has a simple pole, rate_p g ~ A[p, e] / (t - t_e);
+    the columns integrate the smooth remainder, and Lam_p adds back
+    A[p, e] log|t - t_e|.
     """
 
     def __init__(self, K: MomentumLaw, iv: AdmissibleInterval,
@@ -141,7 +142,7 @@ class _Leg:
         even, odd = K.lambda_rate_phi(np.array([0.3, np.pi - 0.3]))
         self.parities = 1 + (POLE_PASSAGE in (iv.lo_kind, iv.hi_kind)
                              and abs(odd - even) > 1e-12 * abs(even))
-        self.rate_points = self.newton_iters_max = 0
+        self.rate_points = 0
         t_lo = _ENDS[0] + (min(0.01, 0.5 * (t0 - _ENDS[0])) if self.asym_lo else 0.0)
         t_hi = _ENDS[1] - (min(0.01, 0.5 * (_ENDS[1] - t0)) if self.asym_hi else 0.0)
         nodes = list(np.linspace(t_lo, t_hi, 65))
@@ -215,36 +216,45 @@ class _Leg:
             -np.cumsum(dlam[:, :k][:, ::-1], axis=1)[:, ::-1],
             np.zeros((self.parities, 1)), np.cumsum(dlam[:, k:], axis=1)], axis=1)
 
-    def _zeta(self, tau, inverse=False):
+    def _zeta(self, tau):
         """The coordinate the inverse is interpolated in: tau, or next to a
         truncating end (open, not asymptotic: ds/dt = 0, t analytic in the
         root of the arc distance) sqrt(tau) and/or -sqrt(total - tau)."""
         S, (lo, hi) = self.total, self.trunc
-        if not inverse:
-            return ((np.sqrt(tau) if lo else 0.0 if hi else tau)
-                    - (np.sqrt(S - tau) if hi else 0.0))
-        if lo and hi:  # zeta = a - b with a^2 + b^2 = S
-            return (0.5 * (tau + np.sqrt(2.0 * S - tau * tau))) ** 2
-        return tau * tau if lo else S - tau * tau if hi else tau
+        return ((np.sqrt(tau) if lo else 0.0 if hi else tau)
+                - (np.sqrt(S - tau) if hi else 0.0))
 
     def _invert(self):
-        """Per inverse panel i (zeta in [iz[i], iz[i+1]], in arc panel ij[i]):
-        inv_coef[:, i], Legendre coefficients of the interpolant at Chebyshev
-        points in zeta of the local t (in [-1, 1]) where that arc polynomial
-        takes the arc; halved while its tail times max ds/dt exceeds roundoff."""
+        """Per inverse panel i (zeta in [iz[i], iz[i+1]], local t in [ya,
+        yb] of arc panel ij[i]): inv_coef[:, i], Legendre coefficients of
+        the interpolant of local t in zeta through the 17 Chebyshev points
+        of [ya, yb] and the arc the panel's polynomial gives there; halved
+        at the middle of [ya, yb] while its tail times max ds/dt exceeds
+        roundoff."""
+        legvander = np.polynomial.legendre.legvander
         zeta = self._zeta(self.s)
         # no finer than roundoff, nor than the arc panel's own accuracy
         tol = np.maximum(4e-15 * (1.0 + self.total), self.arc_err)
         j, done = np.arange(self.t.size - 1), []
         za, zb, ya, yb = zeta[:-1], zeta[1:], -np.ones(j.size), np.ones(j.size)
         for level in range(9):
-            y, slope = self._solve(j, za, zb)
-            coef = _CHEB_LEG @ np.column_stack([ya, y, yb]).T
+            y = np.column_stack([ya, 0.5 * (ya + yb)[:, None]
+                                 + 0.5 * (yb - ya)[:, None] * _CHEB[1:-1], yb])
+            vy, c = legvander(y, 15), self.arc_coef[j]
+            h = 0.5 * (self.t[j + 1] - self.t[j])
+            # the arc forward at the inner points (zeta holds it at the ends)
+            z = self._zeta(self.s[j, None]
+                           + h[:, None] * np.einsum("nkd,nd->nk", vy[:, 1:-1], c))
+            u = np.column_stack([-np.ones(j.size), 2.0 * (z - za[:, None])
+                                 / (zb - za)[:, None] - 1.0, np.ones(j.size)])
+            coef = np.linalg.solve(legvander(u, 16), y[:, :, None])[:, :, 0].T
+            dF = np.einsum("nkd,nd->nk", vy[..., :15], c @ _LEG_D.T)
+            slope = h * np.abs(dF).max(axis=1)
             bad = (np.abs(coef[-2:]).max(axis=0) * slope > tol[j]) & (level < 8)
             done.append((za[~bad], j[~bad], coef[:, ~bad]))
             if not bad.any():
                 break
-            zm, ym = 0.5 * (za + zb)[bad], y[bad, 7]  # at _CHEB[8] = 0
+            zm, ym = z[bad, 7], y[bad, 8]  # at _CHEB[8] = 0
             j = np.tile(j[bad], 2)
             za, zb = np.concatenate([za[bad], zm]), np.concatenate([zm, zb[bad]])
             ya, yb = np.concatenate([ya[bad], ym]), np.concatenate([ym, yb[bad]])
@@ -252,44 +262,6 @@ class _Leg:
         order = np.argsort(za)
         self.iz, self.ij = np.append(za[order], zeta[-1]), j[order]
         self.inv_coef = coef[:, order]
-
-    def _solve(self, j, za, zb):
-        """Local t (in [-1, 1]) where arc panel j[k]'s polynomial, s = s_j +
-        h/2 F_j(t), takes the arc at the inner Chebyshev points of zeta in
-        [za[k], zb[k]] (safeguarded Newton), and the largest ds/dt there."""
-        legvander = np.polynomial.legendre.legvander
-        x, n, m = _CHEB[1:-1], j.size, _CHEB.size - 2
-        s0, s1 = self.s[j, None], self.s[j + 1, None]
-        h = (self.t[j + 1] - self.t[j])[:, None]
-        zeta = 0.5 * (za + zb)[:, None] + 0.5 * (zb - za)[:, None] * x
-        target = (np.clip(self._zeta(zeta, inverse=True), s0, s1) - s0) * (2.0 / h)
-        c = self.arc_coef[j]
-        dc = c @ _LEG_D.T
-        # the rounding of the arc and of F's sum (that of t goes with F')
-        tol = np.broadcast_to(1e-16 * (1.0 + s1) * (2.0 / h) + 4e-16
-                              * np.abs(c).sum(axis=1)[:, None], zeta.shape).ravel()
-        target, row, on = target.ravel(), np.repeat(np.arange(n), m), np.arange(n * m)
-        # the guess is the same x on every panel: F is a product there
-        v = legvander(x, 15)
-        y, F, dF = np.tile(x, n), (c @ v.T).ravel(), (dc @ v[:, :15].T).ravel()
-        slope, lo, hi = dF.copy(), -np.ones(n * m), np.ones(n * m)
-        for it in range(41):
-            err = F - target[on]
-            keep = np.abs(err) > tol[on] + 4e-16 * np.abs(dF)
-            on, err, dF, yo = on[keep], err[keep], dF[keep], y[on[keep]]
-            if not on.size:
-                break
-            lo[on] = np.where(err > 0.0, lo[on], yo)
-            hi[on] = np.where(err > 0.0, yo, hi[on])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = yo - err / dF
-            y[on] = np.where((nxt >= lo[on]) & (nxt <= hi[on]),
-                             nxt, 0.5 * (lo[on] + hi[on]))
-            v = legvander(y[on], 15)
-            F = np.einsum("mk,mk->m", v, c[row[on]])
-            slope[on] = dF = np.einsum("mk,mk->m", v[:, :15], dc[row[on]])
-        self.newton_iters_max = max(self.newton_iters_max, it)
-        return y.reshape(n, m), 0.5 * h[:, 0] * np.abs(slope).reshape(n, m).max(axis=1)
 
     def _ends(self):
         """join[p, e]: Lam_p where end e (lo 0, hi 1) joins the next leg, at
@@ -608,10 +580,10 @@ def reconstruct(K: MomentumLaw, config: ReconstructionConfig,
         "truncated": {"lo": truncated_lo, "hi": truncated_hi},
         "spiral_samples": spiral_samples,
         "dz_sign": dz,
-        # work counters: table panels and longitude-rate evaluations do
-        # not grow with n_samples; Newton iterations of the z(s) inversion
+        # work counters: table panels, inverse panels and longitude-rate
+        # evaluations do not grow with n_samples
         "stats": {"leg_panels": motion.leg.t.size - 1,
-                  "newton_iters_max": motion.leg.newton_iters_max,
+                  "inv_panels": motion.leg.inv_coef.shape[1],
                   "rate_points": motion.leg.rate_points,
                   "arc_err_max": float(motion.leg.arc_err.max())},
     }

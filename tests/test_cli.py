@@ -95,6 +95,14 @@ class TestReconstruct:
         assert rc == 2
         assert "no motion" in capsys.readouterr().err
 
+    def test_domain_error_leaves_no_file(self, tmp_path, capsys):
+        # --output is opened only once the trace is computed
+        f = tmp_path / "none.csv"
+        rc = cli.main(["reconstruct", "--family", "great-circle",
+                       "--c", "1.5", "--n", "65", "--output", str(f)])
+        assert rc == 2 and not f.exists()
+        capsys.readouterr()
+
 
 class TestOracle:
     def test_runs_to_csv(self, tmp_path):

@@ -67,13 +67,6 @@ class TestDerivativeConsistency:
             fd = (K.value(z + h) - K.value(z - h)) / (2.0 * h)
             assert np.max(np.abs(fd - K.deriv(z))) < 1e-7, K.law.kind
 
-    def test_dP_matches_P_differences(self):
-        h = 1e-5
-        for K in _all_laws():
-            z = _interior_points(K)
-            fd = (K.P(z + h) - K.P(z - h)) / (2.0 * h)
-            assert np.max(np.abs(fd - K.dP(z))) < 1e-7, K.law.kind
-
     def test_P_definition(self):
         for K in _all_laws():
             z = _interior_points(K)

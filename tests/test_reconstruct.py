@@ -69,6 +69,12 @@ def _workloads():
 # 210, turning 5.8e-9 below the pole, and the hard case a = 0.5001
 _NEAR_DEGENERATE = {"borderline a=0.999892": ("borderline", {"a": 0.999892}, 0.5),
                     "borderline a=0.5001": ("borderline", {"a": 0.5001}, None)}
+# legs built over a law's first interval at t0 = 0: the sn-family cliff at
+# the benchmark's quad_tol, and clelia n = 0.05, whose end panels halve
+_ROUND_TRIP = {"seiffert p=0.7": ("seiffert", {"p": 0.7}, 1e-10),
+               "sn-family p=0.999": ("sn-family", {"p": 0.999}, 1e-10),
+               "sn-family p=0.999 quad_tol=1e-8": ("sn-family", {"p": 0.999}, 1e-8),
+               "clelia n=0.05": ("clelia", {"n": 0.05}, 1e-10)}
 
 
 def _sweep_gauge(name):
@@ -388,17 +394,42 @@ class TestErrors:
 
 
 class TestLegTable:
-    def test_inversion_needs_few_newton_steps(self):
-        # a Newton step landing on a panel end is accepted, not bisected
-        rng = np.random.default_rng(3)
-        for name, p in (("seiffert", 0.7), ("sn-family", 0.999)):
-            K = family_law(name, {"p": p})
-            iv = admissible_intervals(K, with_period=False)[0]
-            leg = _Leg(K, iv, 1e-10, 0.0, need_arc=4.0)
-            tau = rng.uniform(0.0, leg.total, 26000)
-            t = leg.t_of_s(tau)
-            assert leg.newton_iters_max <= 8, name
-            assert np.max(np.abs(leg.s_of_t(t) - tau)) <= 1e-13, name
+    @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE)
+                             + list(_ROUND_TRIP))
+    def test_inverse_round_trip(self, name):
+        # t(s) is interpolated through the arc polynomial's own values, so
+        # reading the arc back at it loses no more than the halving's
+        # tolerance, at random arcs and next to both ends
+        if name in _ROUND_TRIP:
+            family, params, tol = _ROUND_TRIP[name]
+            K = family_law(family, params)
+            leg = _Leg(K, admissible_intervals(K, with_period=False)[0], tol, 0.0,
+                       need_arc=4.0)
+        else:
+            K, iv, cfg = _sweep_gauge(name)
+            leg = _Motion(K, _pick_interval(K, iv), 0.5 * cfg.s_span, cfg.quad_tol,
+                          cfg.z0, cfg.dz_sign0).leg
+        tau = np.concatenate([
+            np.random.default_rng(3).uniform(0.0, leg.total, 50000),
+            leg.total * np.array([0.0, 1e-14, 1e-10, 1e-6, 1.0 - 1e-6, 1.0 - 1e-10, 1.0])])
+        err = np.max(np.abs(leg.s_of_t(leg.t_of_s(tau)) - tau))
+        assert err <= max(4e-15 * (1.0 + leg.total), leg.arc_err.max())
+
+    def test_inverse_stops_at_the_halving_cap(self):
+        # an arc s = 1 + y^3 over one panel: t(s) is a cube root at the
+        # middle, so the panels next to it halve 8 times and stop there;
+        # no solve sees repeated nodes (it would be singular) and the
+        # panels stay ordered
+        leg = object.__new__(_Leg)
+        leg.t, leg.s, leg.total = np.array([0.0, 2.0]), np.array([0.0, 2.0]), 2.0
+        leg.arc_coef = np.zeros((1, 16))
+        leg.arc_coef[0, [0, 1, 3]] = 1.0, 0.6, 0.4
+        leg.arc_err, leg.trunc = np.zeros(1), (False, False)
+        leg._invert()
+        width = np.diff(leg.iz)
+        assert width.min() == pytest.approx(2.0 ** -21) and np.all(width > 0.0)
+        tau = np.linspace(0.0, 2.0, 20001)
+        assert np.all(np.diff(leg.t_of_s(tau)) >= 0.0)
 
     @pytest.mark.parametrize("x,w", [(_X7, _W7), (_X15, _W15)])
     def test_gauss_rules_exact_to_the_ulp(self, x, w):
@@ -428,7 +459,7 @@ class TestLegTable:
     def test_longitude_carries_no_inversion_error(self):
         # Seiffert's longitude rate is the constant p, so lambda - lambda0
         # is p s exactly: reading the longitude at the t inverted from the
-        # Hermite arc table must not add that table's interpolation error
+        # arc table must not add the inverse's interpolation error
         p = 0.7
         K = family_law("seiffert", {"p": p})
         tr = reconstruct(K, _cfg(4.0 * complete_K(p), n=1601, z0=0.0,
@@ -436,14 +467,14 @@ class TestLegTable:
         assert np.max(np.abs(tr.lam - p * tr.s)) < 1e-13
 
     def test_work_counters_do_not_grow_with_samples(self):
-        # O(table) + O(n): the table and its rate evaluations depend on
-        # the window, not on how densely it is sampled
+        # O(table) + O(n): the table, its inverse and its rate evaluations
+        # depend on the window, not on how densely it is sampled
         K = family_law("seiffert", {"p": 0.7})
         a, b = (reconstruct(K, _cfg(200.0, n=n, z0=0.0, dz_sign0=-1)).meta["stats"]
                 for n in (1201, 40001))
         assert a["leg_panels"] == b["leg_panels"] > 0
         assert a["rate_points"] == b["rate_points"] > 0
-        assert max(a["newton_iters_max"], b["newton_iters_max"]) <= 8
+        assert a["inv_panels"] == b["inv_panels"] > 0
 
     @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE))
     def test_panels_at_the_sweep_gauge(self, name):
