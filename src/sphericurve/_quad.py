@@ -1,11 +1,12 @@
 """Adaptive Gauss-Legendre quadrature of many integrand columns at once.
 
 The one adaptive routine, gauss_adaptive, refines the panels between
-given nodes with vectorized integrand calls and keeps, per accepted
-panel, each column's Gauss polynomial.  Cumulative tables built from
-these panels are read between their nodes through that polynomial
-(_INT15), and inverted through interpolants sampled at Chebyshev points
-(_CHEB).
+given nodes with vectorized integrand calls at 15 Gauss points per panel,
+and keeps, per accepted panel, each column's Gauss polynomial; the tail
+of its Legendre series is both the error estimate and the acceptance
+test.  Cumulative tables built from these panels are read between their
+nodes through that polynomial (_INT15), and inverted through
+interpolants sampled at Chebyshev points (_CHEB).
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ def _gauss(n):
     return x.astype(float), (2.0 / ((1.0 - x * x) * dp * dp)).astype(float)
 
 
-_X7, _W7 = _gauss(7)
 _X15, _W15 = _gauss(15)
 # Legendre coefficients, from the 15 Gauss values on [-1, 1], of the integral
 # from -1 of the polynomial through them; at 1 it is the GL15 sum
 _INT15 = np.polynomial.legendre.legint(
     (np.arange(15) + 0.5)[:, None]
     * np.polynomial.legendre.legvander(_X15, 14).T * _W15, lbnd=-1)
-_INT15_MID = np.polynomial.legendre.legvander(0.0, 15)[0]
 # Legendre coefficients of the derivative: c @ _LEG_D.T, degree 15 to 14
 _LEG_D = np.polynomial.legendre.legder(np.eye(16))
 # Chebyshev points of the second kind on [-1, 1], ascending (the middle one
@@ -54,34 +53,29 @@ def gauss_adaptive(f, nodes, tol: float):
     """Integrate the columns of f over each interval between ascending nodes.
 
     f(t) takes a flat array and returns the integrand columns, shaped
-    (k, t.size).  Panels are split at their midpoints, all new ones
-    evaluated in one call, until every column passes |GL15 - GL7| and its
-    Gauss polynomial's left-half integral matches the left half's GL15,
-    both against tol; a panel narrower than 1e-6 or 40 levels deep is
-    accepted as it is.  Returns the accepted panels in order: their edges
-    (every node among them), the Legendre coefficients on [-1, 1] of each
-    column's cumulative polynomial (k, panels, 16), the panel sums
-    (k, panels) and the first column's |GL15 - GL7|.
+    (k, t.size).  Each round evaluates f once, at the 15 Gauss points of
+    every open panel.  A panel is accepted when, for every column, its
+    cumulative polynomial's two highest Legendre coefficients, times the
+    half width, are within tol (the Legendre tail, as Aurentz & Trefethen
+    chop a Chebyshev series); otherwise it is split at its midpoint.  A
+    panel narrower than 1e-6 or 40 levels deep is accepted as it is.
+    Returns the accepted panels in order: their edges (every node among
+    them), the Legendre coefficients on [-1, 1] of each column's
+    cumulative polynomial (k, panels, 16), the GL15 panel sums (k, panels)
+    and the first column's tail.
     """
     nodes = np.asarray(nodes, dtype=float)
     a, b = nodes[:-1], nodes[1:]
     done = []
     for level in range(41):
-        n, mid, half = a.size, 0.5 * (a + b), 0.5 * (b - a)
-        cols = f(np.concatenate([
-            (mid[:, None] + half[:, None] * _X15[None, :]).ravel(),
-            (mid[:, None] + half[:, None] * _X7[None, :]).ravel(),
-            (0.5 * (a + mid)[:, None] + 0.5 * half[:, None] * _X15[None, :]).ravel()]))
-        k = cols.shape[0]
-        y15, y7, y15l = (cols[:, i * n:j * n].reshape(k, n, j - i)
-                         for i, j in ((0, 15), (15, 22), (22, 37)))
-        i15, i7 = half * (y15 @ _W15), half * (y7 @ _W7)
-        i15l = 0.5 * half * (y15l @ _W15)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        y15 = f((mid[:, None] + half[:, None] * _X15[None, :]).ravel())
+        y15 = y15.reshape(y15.shape[0], a.size, 15)
         coef = y15 @ _INT15.T
-        err = np.abs(i15 - i7)
-        miss = (err > tol) | (np.abs(half * (coef @ _INT15_MID) - i15l) > tol)
-        split = miss.any(axis=0) & ((b - a) > 1e-6) & (level < 40)
-        done.append((a[~split], coef[:, ~split], i15[:, ~split], err[0, ~split]))
+        err = half * np.abs(coef[..., 14:]).max(axis=-1)
+        split = (err > tol).any(axis=0) & ((b - a) > 1e-6) & (level < 40)
+        sums = half * (y15 @ _W15)
+        done.append((a[~split], coef[:, ~split], sums[:, ~split], err[0, ~split]))
         if not split.any():
             break
         mid = mid[split]

@@ -324,8 +324,12 @@ class _CustomLaw(CurvatureLaw):
                 raise ValueError("custom law must be finite on the interior of its domain")
             return kv[None]
 
-        # K to 1e-14, its panel rises summed outward from each piece's anchor
-        t, coef, sums, _ = gauss_adaptive(col, edges, 1e-14)
+        # K to 1e-14 from 64 equal panels per smooth piece (fewer would let
+        # a narrow kappa feature slip between the first round's Gauss
+        # points), its panel rises summed outward from each piece's anchor
+        start = np.unique(np.concatenate([np.linspace(x, y, 65)
+                                          for x, y in zip(edges[:-1], edges[1:])]))
+        t, coef, sums, _ = gauss_adaptive(col, start, 1e-14)
         base = np.zeros(t.size - 1)
         object.__setattr__(self, "_table", (t, base, coef[0], tuple(zip(edges[:-1], edges[1:]))))
         for plo, phi_ in self._table[3]:

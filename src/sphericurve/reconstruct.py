@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import _CHEB, _LEG_D, _W7, _X7, gauss_adaptive, legval_rows
+from ._quad import _CHEB, _LEG_D, _W15, _X15, gauss_adaptive, legval_rows
 from .laws import (
     OPEN_BOUNDARY,
     POLE_PASSAGE,
@@ -182,18 +182,18 @@ class _Leg:
         return g, rate.reshape(self.parities, -1)
 
     def _extend(self, nodes, t0, need_arc, low: bool):
+        def rough(x, y):  # the arc between x and y by one GL15 panel
+            mid, half = 0.5 * (x + y), 0.5 * abs(y - x)
+            return half * float(np.dot(_W15, self.prof.arc_rate(mid + half * _X15)[0]))
+
         end = _ENDS[0] if low else _ENDS[1]
-        # rough arc from t0 to the current inner edge
-        probe = np.linspace(nodes[0] if low else nodes[-1], t0, 33)
-        gv = self.prof.arc_rate(probe)[0]
-        arc = abs(float(np.sum(0.5 * (gv[1:] + gv[:-1]) * np.diff(probe))))
+        arc = rough(nodes[0] if low else nodes[-1], t0)
         for _ in range(80):
             edge = nodes[0] if low else nodes[-1]
             new_t = 0.5 * (end + edge)
             if arc >= need_arc or new_t in (edge, end):
                 break
-            mid, half = 0.5 * (new_t + edge), 0.5 * abs(edge - new_t)
-            arc += abs(half * float(np.dot(_W7, self.prof.arc_rate(mid + half * _X7)[0])))
+            arc += rough(new_t, edge)
             nodes.insert(0 if low else len(nodes), new_t)
 
     def _refine(self, t, tol, t0):

@@ -373,6 +373,16 @@ class TestCustomLaw:
         z = np.linspace(-1.0, 1.0, 201)
         assert np.max(np.abs(K.value(z) - (c + 0.3 * z + 0.2 * z ** 3 / 3.0))) <= 5.6e-15
 
+    @pytest.mark.parametrize("w", [0.01, 0.005])
+    def test_momentum_of_a_narrow_bump(self, w):
+        # a Gaussian bump far narrower than the piece: each piece starts
+        # from 64 panels, so the first round's Gauss points see it
+        K = antiderivative(custom_law(lambda z: np.exp(-(((z - 0.3) / w) ** 2))))
+        z = np.linspace(-1.0, 1.0, 201)
+        want = 0.5 * math.sqrt(math.pi) * w * np.array(
+            [math.erf((x - 0.3) / w) + math.erf(0.3 / w) for x in z])
+        assert np.max(np.abs(K.value(z) - want)) <= 1e-15
+
     def test_through_a_pole(self):
         # K = 0.3 (z - 1) vanishes at the north pole; the longitude rate
         # there is 0.3 / (1 + z), with the factor 1 - z divided out

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphericurve._quad import _W7, _W15, _X7, _X15
+from sphericurve._quad import _INT15, _W15, _X15
 from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.laws import (
     admissible_intervals,
@@ -342,7 +342,7 @@ class TestSpiralContacts:
     @pytest.mark.parametrize("name,key,v,bound", [
         ("sn-family", "p", 0.4, 64), ("sn-family", "p", 0.6, 64),
         ("sn-family", "p", 0.8, 64), ("sn-family", "p", 0.9, 64),
-        ("sn-family", "p", 0.99, 64), ("sn-family", "p", 0.999, 87),
+        ("sn-family", "p", 0.99, 64), ("sn-family", "p", 0.999, 68),
         ("loxodrome", "a", 0.5, 64), ("loxodrome", "a", 0.9, 64),
         ("loxodrome", "a", 0.999, 64)])
     def test_spiral_legs_need_few_panels(self, name, key, v, bound):
@@ -431,13 +431,12 @@ class TestLegTable:
         tau = np.linspace(0.0, 2.0, 20001)
         assert np.all(np.diff(leg.t_of_s(tau)) >= 0.0)
 
-    @pytest.mark.parametrize("x,w", [(_X7, _W7), (_X15, _W15)])
-    def test_gauss_rules_exact_to_the_ulp(self, x, w):
-        # each rule integrates the monomials up to degree 2n - 1 to the ulp,
-        # so a table's arc carries no bias (numpy's 15-point weights sum to
+    def test_gauss_rule_exact_to_the_ulp(self):
+        # GL15 integrates the monomials up to degree 29 to the ulp, so a
+        # table's arc carries no bias (numpy's 15-point weights sum to
         # 2 - 2.2e-16, which put a sn-family contact an ulp off)
-        for k in range(2 * x.size):
-            assert abs(math.fsum(w * x ** k) - (k % 2 == 0) * 2.0 / (k + 1)) <= 1e-16, k
+        for k in range(30):
+            assert abs(math.fsum(_W15 * _X15 ** k) - (k % 2 == 0) * 2.0 / (k + 1)) <= 1e-16, k
 
     @pytest.mark.parametrize("p", [0.4, 0.6, 0.8])
     def test_leg_arc_to_the_ulp(self, p):
@@ -476,6 +475,27 @@ class TestLegTable:
         assert a["rate_points"] == b["rate_points"] > 0
         assert a["inv_panels"] == b["inv_panels"] > 0
 
+    @pytest.mark.parametrize("name", family_names())
+    def test_arc_read_between_nodes(self, name):
+        # each panel is accepted on its own Gauss polynomial's tail; read at
+        # the panel's middle, that polynomial matches a GL15 sum over the
+        # left half
+        K, iv, cfg = _sweep_gauge(name)
+        leg = _Motion(K, _pick_interval(K, iv), 0.5 * cfg.s_span, cfg.quad_tol,
+                      cfg.z0, cfg.dz_sign0).leg
+        a, b = leg.t[:-1], leg.t[1:]
+        mid, q = 0.5 * (a + b), 0.25 * (b - a)
+        left = q * (leg.prof.arc_rate(0.5 * (a + mid)[:, None] + q[:, None] * _X15)[0] @ _W15)
+        err = np.abs(leg.s_of_t(mid) - leg.s[:-1] - left)
+        assert err.max() <= max(cfg.quad_tol / 64.0, 1e-14)
+
+    @pytest.mark.parametrize("name,points", [("seiffert", 960), ("sn-family", 1924)])
+    def test_rate_points_at_the_sweep_gauge(self, name, points):
+        # 64 panels at 15 points each, the sn-family's two parities, plus
+        # its two spiral residues: one integrand call per Gauss point
+        K, iv, cfg = _sweep_gauge(name)
+        assert reconstruct(K, cfg, interval=iv).meta["stats"]["rate_points"] == points
+
     @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE))
     def test_panels_at_the_sweep_gauge(self, name):
         # the arc is read through each panel's own Gauss polynomial, so
@@ -487,9 +507,10 @@ class TestLegTable:
     @pytest.mark.parametrize("name", ["seiffert", "sn-family", "borderline",
                                       "loxo-super", "clelia", "catenary"])
     def test_arc_err_max_is_the_worst_accepted_panel(self, name):
-        # recomputed panel by panel from the arc nodes: each accepted
-        # |GL15 - GL7| is within the table tolerance, and the largest is
-        # the reported one
+        # recomputed panel by panel from the arc nodes: each accepted tail
+        # (the two top Legendre coefficients of the arc's cumulative
+        # polynomial, times the half width) is within the table tolerance,
+        # and the largest is the reported one
         K, iv, cfg = _sweep_gauge(name)
         tr = reconstruct(K, cfg, interval=iv)
         iv = iv if iv is not None else _pick_interval(K, None)
@@ -498,11 +519,10 @@ class TestLegTable:
         a, b = leg.t[:-1, None], leg.t[1:, None]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         g15 = leg.prof.arc_rate(mid + half * _X15)[0]
-        g7 = leg.prof.arc_rate(mid + half * _X7)[0]
-        err = np.abs(half[:, 0] * (g15 @ _W15 - g7 @ _W7))
+        err = half[:, 0] * np.abs((g15 @ _INT15.T)[:, 14:]).max(axis=1)
         assert np.all(err <= max(cfg.quad_tol / 64.0, 1e-14))
         got = tr.meta["stats"]["arc_err_max"]
-        assert got == leg.arc_err.max() == pytest.approx(err.max(), rel=1e-6)
+        assert got == leg.arc_err.max() == pytest.approx(err.max(), rel=1e-6, abs=0.0)
         assert got > 0.0
 
     @pytest.mark.parametrize("name", family_names())
