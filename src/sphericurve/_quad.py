@@ -38,6 +38,9 @@ _LEG_D = np.polynomial.legendre.legder(np.eye(16))
 # Chebyshev points of the second kind on [-1, 1], ascending (the middle one
 # exactly 0)
 _CHEB = np.sin(np.pi * np.arange(-8, 9) / 16.0)
+# their Legendre Vandermonde, degree 15: the points of every panel's first
+# inverse round
+_VCHEB = np.polynomial.legendre.legvander(_CHEB, 15)
 
 
 def legval_rows(c, x):

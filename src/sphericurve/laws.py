@@ -645,6 +645,23 @@ def _same_root(N, a, b):
         polyval(abs(m), c) if isinstance(N, Polynomial) else c.sum())
 
 
+def _exact_at(coef):
+    """The series with exact (Fraction) coefficients coef, ascending, as a
+    float function rounded once: Horner in integers over their common
+    denominator at x = m / d, one true division of integers at the end."""
+    den = math.lcm(*(c.denominator for c in coef))
+    a = [c.numerator * (den // c.denominator) for c in coef[::-1]]
+
+    def at(x):
+        m, d = float(x).as_integer_ratio()
+        acc, dk = a[0], 1
+        for ak in a[1:]:
+            dk *= d
+            acc = acc * m + ak * dk
+        return acc / (dk * den)  # as float(Fraction(acc, dk * den)) rounds
+    return at
+
+
 def _roots(N, za, zb):
     """Real roots of the series N in [za, zb] as ascending [z, multiplicity,
     N in floats, exact root - z].  A power series' exactly-zero low
@@ -659,11 +676,10 @@ def _roots(N, za, zb):
     while isinstance(N, Polynomial) and k < N.coef.size - 1 and N.coef[k] == 0:
         k += 1
     r = type(N)(Nf.coef[k:], domain=N.domain).roots()
-    # polyval, as N(x) would take x through floats
-    at = (lambda x: float(polyval(Fraction(x), N.coef))) if N.coef.dtype == object else Nf
+    at, dN = _exact_at(N.coef) if N.coef.dtype == object else Nf, Nf.deriv()
 
     def polish(x):
-        nx, dN = at(x), Nf.deriv()
+        nx = at(x)
         with np.errstate(all="ignore"):
             y = x - nx / dN(x)
             if math.isfinite(y) and abs(ny := at(y)) < abs(nx):
@@ -753,14 +769,14 @@ def momentum_from_trace(trace) -> np.ndarray:
     if s.size < 3:
         raise ValueError("momentum_from_trace needs at least 3 samples")
     h = check_uniform(s)
+    return _momentum(xi, h, deriv1(xi, h))
+
+
+def _momentum(xi, h, d1):
+    """x' y - x y' from xi' = d1 (five-point, NaN in the outer two rows) on
+    the grid step h, the second sample from each end three-point."""
     x, y = xi[:, 0], xi[:, 1]
-    if s.size >= 5:
-        dx = deriv1(x, h)
-        dy = deriv1(y, h)
-    else:
-        dx = np.full_like(x, np.nan)
-        dy = np.full_like(y, np.nan)
-    # fill the second sample from each end with the three-point stencil
+    dx, dy = d1[:, 0].copy(), d1[:, 1].copy()
     for arr, src in ((dx, x), (dy, y)):
         arr[1] = (src[2] - src[0]) / (2.0 * h)
         arr[-2] = (src[-1] - src[-3]) / (2.0 * h)

@@ -32,6 +32,8 @@ class FrenetState:
     def from_vectors(cls, xi, t) -> "FrenetState":
         xi = np.asarray(xi, dtype=float).reshape(3)
         t = np.asarray(t, dtype=float).reshape(3)
+        if not (np.isfinite(xi).all() and np.isfinite(t).all()):
+            raise ValueError("xi and t must be finite")
         n_xi = float(np.linalg.norm(xi))
         n_t = float(np.linalg.norm(t))
         if abs(n_xi - 1.0) > _ORTHO_TOL:
@@ -54,6 +56,8 @@ def initial_state(K: MomentumLaw, z0: Optional[float] = None,
     The tangent combines the height rate dz_sign*sqrt(P) with the
     longitude rate -K/cos^2(phi); the two always compose to unit speed.
     """
+    if not math.isfinite(lambda0):
+        raise ValueError("lambda0 must be finite")
     iv = _pick_interval(K, interval)
     if z0 is None:
         z0 = 0.5 * (iv.z_lo + iv.z_hi)
@@ -219,7 +223,10 @@ def curvature_from_trace(trace) -> np.ndarray:
     if s.size < 5:
         raise ValueError("curvature_from_trace needs at least 5 samples")
     h = check_uniform(s)
-    d1 = deriv1(xi, h)
-    d2 = deriv2(xi, h)
-    cross = np.cross(d1, d2)
-    return np.einsum("ij,ij->i", xi, cross)
+    return _curvature(xi, h, deriv1(xi, h))
+
+
+def _curvature(xi, h, d1):
+    """det(xi, xi', xi'') from xi' = d1 and the five-point xi'' on the grid
+    step h."""
+    return np.einsum("ij,ij->i", xi, np.cross(d1, deriv2(xi, h)))

@@ -20,12 +20,13 @@ continues across by the mirror rule lambda(s* + u) = lambda(s* - u).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._quad import _CHEB, _LEG_D, _W15, _X15, gauss_adaptive, legval_rows
+from ._quad import _CHEB, _LEG_D, _VCHEB, _W15, _X15, gauss_adaptive, legval_rows
 from .laws import (
     OPEN_BOUNDARY,
     POLE_PASSAGE,
@@ -47,11 +48,11 @@ class ReconstructionConfig:
     """Gauge and discretization for reconstruct().
 
     s_span      total arc length; samples cover [-s_span/2, +s_span/2]
-    n_samples   number of samples (>= 16)
+    n_samples   number of samples, an integer >= 16
     quad_tol    absolute tolerance of the leg table's quadratures
     z0          height at s = 0; defaults to the interval midpoint and
                 must lie strictly inside the interval
-    lambda0     longitude at s = 0
+    lambda0     longitude at s = 0, finite
     dz_sign0    initial sign of dz/ds, +1 or -1
     lambda_cap  optional bound on |lambda - lambda0|; when a spiraling
                 contact drives the longitude past it the trace is cut
@@ -68,10 +69,14 @@ class ReconstructionConfig:
     def __post_init__(self):
         if not (math.isfinite(self.s_span) and self.s_span > 0.0):
             raise ValueError("s_span must be positive and finite")
+        if not isinstance(self.n_samples, numbers.Integral):
+            raise ValueError("n_samples must be an integer")
         if self.n_samples < 16:
             raise ValueError("n_samples must be at least 16")
         if not (math.isfinite(self.quad_tol) and self.quad_tol > 0.0):
             raise ValueError("quad_tol must be positive")
+        if not math.isfinite(self.lambda0):
+            raise ValueError("lambda0 must be finite")
         if self.dz_sign0 not in (1, -1):
             raise ValueError("dz_sign0 must be +1 or -1")
         if self.lambda_cap is not None and not self.lambda_cap > 0.0:
@@ -240,7 +245,10 @@ class _Leg:
         for level in range(9):
             y = np.column_stack([ya, 0.5 * (ya + yb)[:, None]
                                  + 0.5 * (yb - ya)[:, None] * _CHEB[1:-1], yb])
-            vy, c = legvander(y, 15), self.arc_coef[j]
+            # level 0's y is _CHEB on every panel: its one Vandermonde,
+            # broadcast (an einsum of the same bits; a matmul differs)
+            vy = _VCHEB[None] if level == 0 else legvander(y, 15)
+            c = self.arc_coef[j]
             h = 0.5 * (self.t[j + 1] - self.t[j])
             # the arc forward at the inner points (zeta holds it at the ends)
             z = self._zeta(self.s[j, None]

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
 from ._fd import check_uniform, deriv1, interior
 from .families import ElasticaParams, el_residual, energy_residual
-from .laws import MomentumLaw, momentum_from_trace
-from .oracle import curvature_from_trace
+from .laws import MomentumLaw, _momentum
+from .oracle import _curvature
 
 
 @dataclass(frozen=True)
@@ -84,31 +85,41 @@ def verify_trace(trace, K: Optional[MomentumLaw] = None,
     s = np.asarray(getattr(trace, "s", np.empty(0)), dtype=float)
     n = s.size
 
+    @cache
+    def step():  # the grid's common step, checked once it passes
+        return check_uniform(s)
+
+    @cache
+    def xi_dot():  # xi', differentiated once for every check
+        return deriv1(xi, step())
+
     attempt("sphere", lambda: _sup_finite_required(
         np.linalg.norm(xi, axis=1) - 1.0))
-
-    def speed_res():
-        h = check_uniform(s)
-        d1 = deriv1(xi, h)
-        return _sup_finite_required(
-            np.linalg.norm(d1, axis=1) - 1.0, interior(n))
-
-    attempt("speed", speed_res)
+    attempt("speed", lambda: _sup_finite_required(
+        np.linalg.norm(xi_dot(), axis=1) - 1.0, interior(n)))
 
     if K is not None:
-        phi = np.asarray(trace.phi, dtype=float)
+        @cache
+        def phi():  # read inside the checks, which report a trace without it
+            return np.asarray(trace.phi, dtype=float)
+
+        @cache
+        def kap():  # the law's curvature along the trace
+            return K.curvature_phi(phi())
 
         def curvature_res():
-            kap_fd = curvature_from_trace(trace)
-            kap_law = K.curvature_phi(phi)
-            return _sup_finite_required(kap_fd - kap_law, interior(n))
+            if n < 5:
+                raise ValueError("curvature_from_trace needs at least 5 samples")
+            kap_fd = _curvature(xi, step(), xi_dot())
+            return _sup_finite_required(kap_fd - kap(), interior(n))
 
         attempt("curvature", curvature_res)
 
         def momentum_res():
-            K_fd = momentum_from_trace(trace)
-            K_law = K.momentum_phi(phi)
-            return _sup_finite_required(K_fd - K_law, interior(n))
+            if n < 3:
+                raise ValueError("momentum_from_trace needs at least 3 samples")
+            K_fd = _momentum(xi, step(), xi_dot())
+            return _sup_finite_required(K_fd - K.momentum_phi(phi()), interior(n))
 
         attempt("momentum", momentum_res)
 
@@ -117,16 +128,12 @@ def verify_trace(trace, K: Optional[MomentumLaw] = None,
                                   c=K.c)
 
             def el_res():
-                h = check_uniform(s)
-                kap = K.curvature_phi(phi)
-                return el_residual(kap, pars, h)
+                h = step()
+                return el_residual(kap(), pars, h)
 
             def energy_res():
-                h = check_uniform(s)
-                kap = K.curvature_phi(phi)
-                kd = deriv1(kap, h)
-                win = interior(n)
-                return energy_residual(kap[win], kd[win], pars)
+                h, win = step(), interior(n)
+                return energy_residual(kap()[win], deriv1(kap(), h)[win], pars)
 
             attempt("el", el_res)
             attempt("energy", energy_res)

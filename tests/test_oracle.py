@@ -46,6 +46,22 @@ class TestInitialState:
             FrenetState.from_vectors(
                 [1.0, 0, 0], [0.1, math.sqrt(1.0 - 0.01), 0])
 
+    @pytest.mark.parametrize("xi,t", [
+        ([math.nan, 0, 0], [0, 1.0, 0]),
+        ([1.0, 0, 0], [0, math.nan, 0]),
+        ([1.0, 0, math.inf], [0, 1.0, 0])])
+    def test_from_vectors_rejects_non_finite(self, xi, t):
+        # NaN compares False against every tolerance, so it used to pass
+        with pytest.raises(ValueError, match="finite"):
+            FrenetState.from_vectors(xi, t)
+
+    @pytest.mark.parametrize("lambda0", [math.nan, math.inf])
+    def test_non_finite_lambda0_rejected(self, lambda0):
+        # it gave an all-NaN trace that reported no halt
+        K = family_law("seiffert", {"p": 0.7})
+        with pytest.raises(ValueError, match="lambda0 must be finite"):
+            initial_state(K, z0=0.0, lambda0=lambda0)
+
 
 class TestMeridian:
     def test_matches_exact_great_circle(self):

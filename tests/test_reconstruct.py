@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphericurve._quad import _INT15, _W15, _X15
+from sphericurve._quad import _CHEB, _INT15, _LEG_D, _VCHEB, _W15, _X15
 from sphericurve.families import closed_form, family_law, family_names
 from sphericurve.laws import (
     admissible_intervals,
@@ -385,6 +385,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             ReconstructionConfig(s_span=1.0, n_samples=100, lambda_cap=-2.0)
 
+    @pytest.mark.parametrize("lambda0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda0_rejected(self, lambda0):
+        # it would rotate every sample to NaN, with no error
+        with pytest.raises(ValueError, match="lambda0 must be finite"):
+            ReconstructionConfig(s_span=1.0, n_samples=100, lambda0=lambda0)
+
+    def test_non_integer_n_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            ReconstructionConfig(s_span=1.0, n_samples=100.5)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            ReconstructionConfig(s_span=1.0, n_samples=100.0)
+        assert ReconstructionConfig(s_span=1.0, n_samples=np.int64(100)).n_samples == 100
+
     def test_coarse_grid_over_spiral_contacts_rejected(self):
         # step must exceed the contact spacing 2K so two contacts share one step
         p = 0.7
@@ -495,6 +508,35 @@ class TestLegTable:
         # its two spiral residues: one integrand call per Gauss point
         K, iv, cfg = _sweep_gauge(name)
         assert reconstruct(K, cfg, interval=iv).meta["stats"]["rate_points"] == points
+
+    @pytest.mark.parametrize("name,panels", [
+        ("seiffert", 64), ("sn-family", 64),
+        ("borderline a=0.999892", 82), ("borderline a=0.5001", 71)])
+    def test_inverse_panels_at_the_sweep_gauge(self, name, panels):
+        # the inverse halves none of the leg's panels at these gauges
+        K, iv, cfg = _sweep_gauge(name)
+        stats = reconstruct(K, cfg, interval=iv).meta["stats"]
+        assert stats["inv_panels"] == stats["leg_panels"] == panels
+
+    @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE))
+    def test_first_inverse_round_is_the_general_one(self, name):
+        # every panel's first round samples _CHEB: the constant Vandermonde,
+        # broadcast, gives the forward arc and its slope with the bits of
+        # the per-panel legvander(y, 15) of the later rounds
+        K, iv, cfg = _sweep_gauge(name)
+        leg = _Motion(K, _pick_interval(K, iv), 0.5 * cfg.s_span, cfg.quad_tol,
+                      cfg.z0, cfg.dz_sign0).leg
+        c = leg.arc_coef
+        ya, yb = -np.ones(c.shape[0]), np.ones(c.shape[0])
+        y = np.column_stack([ya, 0.5 * (ya + yb)[:, None]
+                             + 0.5 * (yb - ya)[:, None] * _CHEB[1:-1], yb])
+        vy = np.polynomial.legendre.legvander(y, 15)
+        assert np.array_equal(vy, np.broadcast_to(_VCHEB, vy.shape))
+        arc = (vy[:, 1:-1], _VCHEB[None, 1:-1], c)
+        slope = (vy[..., :15], _VCHEB[None, :, :15], c @ _LEG_D.T)
+        for general, const, w in (arc, slope):
+            assert np.array_equal(np.einsum("nkd,nd->nk", general, w),
+                                  np.einsum("nkd,nd->nk", const, w))
 
     @pytest.mark.parametrize("name", family_names() + list(_NEAR_DEGENERATE))
     def test_panels_at_the_sweep_gauge(self, name):

@@ -1,12 +1,15 @@
 """Diagnostics report behaviour and trace comparison."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sphericurve import verify
 from sphericurve.families import closed_form, family_law
-from sphericurve.laws import admissible_intervals
+from sphericurve.laws import admissible_intervals, momentum_from_trace
+from sphericurve.oracle import curvature_from_trace
 from sphericurve.reconstruct import (
     CurveTrace,
     ReconstructionConfig,
@@ -39,6 +42,15 @@ class TestVerifyTrace:
         rep = verify_trace(tr, K=family_law("great-circle", {"c": 0.0}))
         assert rep.verdict == "fail"
         assert all(not math.isfinite(v) for v in rep.residuals.values())
+
+    def test_never_raises_without_phi(self):
+        tr = _circle_trace()
+        bare = SimpleNamespace(s=tr.s, xi=tr.xi)
+        rep = verify_trace(bare, K=family_law("viviani"))
+        assert rep.verdict == "fail"
+        assert rep.residuals["curvature"] == rep.residuals["momentum"] == math.inf
+        assert [note.split(":")[0] for note in rep.notes] == ["curvature", "momentum"]
+        assert all("attribute 'phi'" in note for note in rep.notes)
 
     def test_single_interior_nan_fails(self):
         tr = _circle_trace()
@@ -97,6 +109,61 @@ class TestVerifyTrace:
         assert rep.verdict == "fail"
         assert rep.residuals["speed"] == math.inf
         assert any(note.startswith("speed") for note in rep.notes)
+
+
+    def test_non_uniform_grid_notes_every_grid_check(self):
+        K = family_law("borderline", {"a": 0.75})
+        tr = reconstruct(K, ReconstructionConfig(s_span=4.0, n_samples=101, z0=0.5))
+        tr.s[50:] += 0.3
+        rep = verify_trace(tr, K=K)
+        grid = ("speed", "curvature", "momentum", "el", "energy")
+        assert all(rep.residuals[name] == math.inf for name in grid)
+        assert rep.notes == [f"{name}: grid must be uniformly spaced" for name in grid]
+        assert rep.verdict == "fail"
+
+    def test_four_samples_never_raise(self):
+        K = family_law("borderline", {"a": 0.75})
+        tr = reconstruct(K, ReconstructionConfig(s_span=4.0, n_samples=101, z0=0.5))
+        short = CurveTrace(s=tr.s[:4], z=tr.z[:4], phi=tr.phi[:4], lam=tr.lam[:4],
+                           xi=tr.xi[:4], meta={})
+        rep = verify_trace(short, K=K)
+        assert rep.verdict == "fail"
+        assert rep.residuals["sphere"] < 1e-12
+        assert all(rep.residuals[name] == math.inf
+                   for name in ("speed", "curvature", "momentum", "el", "energy"))
+        assert rep.notes == ["curvature: curvature_from_trace needs at least 5 samples",
+                             "el: el_residual needs at least 5 samples"]
+
+    def test_residuals_are_the_public_derivatives(self):
+        # one grid check and one xi' feed every residual, with the bits of
+        # the public curvature_from_trace and momentum_from_trace
+        K = family_law("borderline", {"a": 0.75})
+        tr = reconstruct(K, ReconstructionConfig(s_span=4.0, n_samples=401, z0=0.5))
+        rep = verify_trace(tr, K=K)
+        win = slice(2, -2)
+        assert rep.residuals["curvature"] == np.max(np.abs(
+            curvature_from_trace(tr) - K.curvature_phi(tr.phi))[win])
+        assert rep.residuals["momentum"] == np.max(np.abs(
+            momentum_from_trace(tr) - K.momentum_phi(tr.phi))[win])
+
+    def test_grid_checked_once(self, monkeypatch):
+        calls = {"check_uniform": 0, "deriv1": 0}
+
+        def counted(name):
+            fn = getattr(verify, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        K = family_law("borderline", {"a": 0.75})
+        tr = reconstruct(K, ReconstructionConfig(s_span=4.0, n_samples=401, z0=0.5))
+        assert verify_trace(tr, K=K).verdict == "pass"
+        # xi' once, and the law's curvature once for the energy
+        assert calls == {"check_uniform": 1, "deriv1": 2}
 
 
 class TestCompareTraces:
